@@ -3,9 +3,12 @@
 Usage:
     bibdex compute -i citations.csv
     bibdex compute -i profile.json --format json
-    bibdex compare Germano profiles/piomelli.json --sort hm --desc
+    bibdex compare Germano profiles/piomelli.json moin.csv --sort hm --desc
     bibdex demo --cohort researchers
     bibdex validate -i profile.json
+
+Every input is a file when it ends in .json or .csv, contains a path
+separator, or comes with --kind; anything else is a stored profile name.
 
 Exit codes: 0 success, 1 input or parse error, 2 validation failure.
 Payload goes to stdout, every diagnostic to stderr.
@@ -17,23 +20,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from decimal import Decimal, localcontext
-from fractions import Fraction
 from pathlib import Path
 
 from . import report as tables
-from .metrics import (
-    AggregateData,
-    AuthorProfile,
-    FullData,
-    IndexReport,
-    consistency_check,
-)
+from .metrics import AggregateData, AuthorProfile, FullData, consistency_check
 from .profiles import (
     Cohort,
     ProfileError,
-    ProfileNotFoundError,
     ProfileStore,
     load_builtin_cohort,
     parse_citation_csv,
@@ -47,18 +40,7 @@ EXIT_VALIDATION_FAILED = 2
 STORE_ENV_VAR = "BIBDEX_STORE"
 DEFAULT_STORE = "./profiles"
 FORMATS = ("md", "csv", "json")
-
-# Exact rationals are emitted as decimal strings with this many
-# significant digits, alongside the display integers.
-JSON_SIG_DIGITS = 12
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved global options for one invocation."""
-
-    store_root: Path
-    output_format: str
+FILE_SUFFIXES = (".json", ".csv")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,108 +51,56 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def fraction_str(value: Fraction, digits: int = JSON_SIG_DIGITS) -> str:
-    """Decimal string of an exact fraction at the given significant digits."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
-
-
-def _report_json(rep: IndexReport) -> dict:
-    return {
-        "n_papers": rep.n_papers,
-        "total_citations": rep.total_citations,
-        "citations_per_paper": fraction_str(rep.citations_per_paper),
-        "citations_per_paper_display": rep.citations_per_paper_display,
-        "h": rep.h,
-        "h_source": rep.h_source.value if rep.h_source is not None else None,
-        "hm_exact": fraction_str(rep.hm_exact),
-        "hm_display": rep.hm_display,
-    }
-
-
-def _table_json(table: tables.ComparisonTable) -> dict:
-    rows = []
-    for row in table.rows:
-        rep = row.report
-        entry: dict[str, object] = {}
-        for column in table.columns:
-            if column == "name":
-                entry["name"] = row.name
-            elif column == "n_papers":
-                entry["n_papers"] = rep.n_papers
-            elif column == "total_citations":
-                entry["total_citations"] = rep.total_citations
-            elif column == "citations_per_paper":
-                entry["citations_per_paper"] = fraction_str(rep.citations_per_paper)
-                entry["citations_per_paper_display"] = rep.citations_per_paper_display
-            elif column == "h":
-                entry["h"] = rep.h
-                entry["h_source"] = (
-                    rep.h_source.value if rep.h_source is not None else None
-                )
-            else:
-                entry["hm_exact"] = fraction_str(rep.hm_exact)
-                entry["hm_display"] = rep.hm_display
-        rows.append(entry)
-    return {"columns": list(table.columns), "rows": rows}
-
-
 def _emit_table(table: tables.ComparisonTable, fmt: str) -> None:
     if fmt == "md":
         sys.stdout.write(tables.render_markdown(table))
     elif fmt == "csv":
         sys.stdout.write(tables.render_csv(table))
     else:
-        print(json.dumps(_table_json(table), indent=2))
+        sys.stdout.write(tables.render_json(table))
 
 
-def _config(args: argparse.Namespace) -> CliConfig:
-    root = getattr(args, "store", None) or os.environ.get(STORE_ENV_VAR) or DEFAULT_STORE
-    return CliConfig(store_root=Path(root), output_format=getattr(args, "format", "md"))
+def _store(args: argparse.Namespace) -> ProfileStore:
+    return ProfileStore(args.store or os.environ.get(STORE_ENV_VAR) or DEFAULT_STORE)
 
 
-def _load_profile_file(path: Path, kind: str | None = None) -> AuthorProfile:
-    if kind is None:
-        kind = "json" if path.suffix.lower() == ".json" else "csv"
-    raw = path.read_bytes()
-    if kind == "csv":
-        # a bare citation list has no author name; the file name stands in
-        return AuthorProfile(
-            name=path.stem or "input", data=FullData(parse_citation_csv(raw))
-        )
-    return parse_profile_json(raw)
+def _resolve(raw: str, store: ProfileStore, kind: str | None = None) -> AuthorProfile:
+    """Load one input, a file or a stored profile, by the module docstring's rule.
+
+    A file's kind is ``kind`` if given, else json for a .json suffix and
+    csv for anything else.
+    """
+    path = Path(raw)
+    suffix = path.suffix.lower()
+    if kind is None and suffix not in FILE_SUFFIXES and os.sep not in raw:
+        return store.load(raw)
+    data = path.read_bytes()
+    if kind == "json" or (kind is None and suffix == ".json"):
+        return parse_profile_json(data)
+    # a bare citation list has no author name; the file name stands in
+    return AuthorProfile(
+        name=path.stem or "input", data=FullData(parse_citation_csv(data))
+    )
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    profile = _load_profile_file(Path(args.input), args.kind)
+    profile = _resolve(args.input, _store(args), args.kind)
     table = tables.compare([profile])
-    if cfg.output_format == "json":
-        payload = {"name": profile.name, **_report_json(table.rows[0].report)}
-        print(json.dumps(payload, indent=2))
+    if args.format == "json":
+        # one author: its row alone, without the table around it
+        print(json.dumps(tables.json_rows(table)[0], indent=2))
     else:
-        _emit_table(table, cfg.output_format)
+        _emit_table(table, args.format)
     return EXIT_OK
 
 
-def _resolve_input(raw: str, store: ProfileStore) -> AuthorProfile:
-    path = Path(raw)
-    if path.is_file():
-        return parse_profile_json(path.read_bytes())
-    if os.sep in raw or raw.endswith(".json"):
-        raise ProfileNotFoundError(f"file not found: {raw}")
-    return store.load(raw)
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    store = ProfileStore(cfg.store_root)
+    store = _store(args)
     resolved: list[AuthorProfile] = []
     failures: list[str] = []
     for raw in args.inputs:
         try:
-            resolved.append(_resolve_input(raw, store))
+            resolved.append(_resolve(raw, store))
         except (ProfileError, OSError) as exc:
             failures.append(f"{raw}: {exc}")
     if failures:
@@ -178,20 +108,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
             print(f"bibdex: error: {failure}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     table = tables.compare(resolved, sort=args.sort, descending=args.desc)
-    _emit_table(table, cfg.output_format)
+    _emit_table(table, args.format)
     return EXIT_OK
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     profiles = load_builtin_cohort(args.cohort)
-    _emit_table(tables.compare(profiles), cfg.output_format)
+    _emit_table(tables.compare(profiles), args.format)
     return EXIT_OK
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    profile = parse_profile_json(Path(args.input).read_bytes())
+    profile = _resolve(args.input, _store(args))
     data = profile.data
     if not isinstance(data, AggregateData) or data.reported_h is None:
         print(
@@ -201,7 +129,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         )
         return EXIT_INPUT_ERROR
     result = consistency_check(data.n_papers, data.total_citations, data.reported_h)
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {
@@ -234,12 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
             "harmonic mean of paper count and citations per paper."
         ),
     )
+    # only compare has --store; the other commands find stored names
+    # through the environment variable or the default directory
+    parser.set_defaults(store=None)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     compute = sub.add_parser(
         "compute", help="report for a single citation CSV or profile JSON"
     )
-    compute.add_argument("-i", "--input", required=True, help="input file path")
+    compute.add_argument("-i", "--input", required=True, help="file or store name")
     compute.add_argument(
         "--kind",
         choices=("csv", "json"),
@@ -253,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         "inputs",
         nargs="+",
         metavar="PROFILE",
-        help="stored profile name or profile JSON path",
+        help="stored profile name, or profile JSON or citation CSV path",
     )
     compare.add_argument("--sort", choices=tables.COLUMNS, help="sort column")
     compare.add_argument("--desc", action="store_true", help="sort descending")
@@ -277,7 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser(
         "validate", help="check a reported h against the aggregate counts"
     )
-    validate.add_argument("-i", "--input", required=True, help="profile JSON path")
+    validate.add_argument(
+        "-i", "--input", required=True, help="profile JSON path or store name"
+    )
     validate.add_argument("--format", choices=FORMATS, default="md")
     validate.set_defaults(handler=cmd_validate)
 

@@ -31,6 +31,7 @@ from .metrics import (
     AuthorProfile,
     CitationVector,
     FullData,
+    _check_count,
 )
 
 CSV_HEADER = "paper_id,citations"
@@ -40,6 +41,7 @@ _PAPER_KEYS = {"id", "citations"}
 _AGGREGATE_KEYS = {"n_papers", "total_citations", "reported_h"}
 _DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}\Z")
 _STORE_NAME_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
+_MAX_DIGITS = len(str(MAX_FIELD_VALUE))
 
 
 class ProfileError(Exception):
@@ -154,23 +156,25 @@ def parse_citation_csv(text: str | bytes) -> CitationVector:
                 f"got {raw_count!r}",
                 line=lineno,
             )
-        count = int(raw_count)
+        if len(raw_count) <= _MAX_DIGITS:
+            count = int(raw_count)
+        else:  # leading zeros keep parsing; int() refuses over 4,300 digits
+            raw_count = raw_count.lstrip("0") or "0"
+            too_long = len(raw_count) > _MAX_DIGITS
+            count = MAX_FIELD_VALUE + 1 if too_long else int(raw_count)
         if count > MAX_FIELD_VALUE:
             raise CsvValueError(
-                f"citations must be <= {MAX_FIELD_VALUE}, got {count}", line=lineno
+                f"citations must be <= {MAX_FIELD_VALUE}, got {raw_count}", line=lineno
             )
         counts.append(count)
     return CitationVector(tuple(counts))
 
 
 def _require_int(value: object, label: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProfileValueError(f"{label} must be an integer, got {value!r}")
-    if value < 0:
-        raise ProfileValueError(f"{label} must be >= 0, got {value}")
-    if value > MAX_FIELD_VALUE:
-        raise ProfileValueError(f"{label} must be <= {MAX_FIELD_VALUE}, got {value}")
-    return value
+    try:
+        return _check_count(value, label)
+    except ValueError as exc:
+        raise ProfileValueError(str(exc)) from None
 
 
 def _parse_snapshot_date(raw: object) -> date:
@@ -231,7 +235,7 @@ def parse_profile_json(text: str | bytes) -> AuthorProfile:
     decoded = _decode(text, ProfileSchemaError)
     try:
         obj = json.loads(decoded)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too long ints, deep nesting
         raise ProfileSchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ProfileSchemaError("profile must be a JSON object")

@@ -1,28 +1,61 @@
-"""Side-by-side comparison tables rendered as Markdown or CSV.
+"""Side-by-side comparison tables rendered as Markdown, CSV or JSON.
 
 Renderers only copy the pre-rounded display fields out of each report;
 they never round anything themselves, so identical tables always render
-to identical bytes.
+to identical bytes. JSON also carries the exact rationals, as decimal
+strings.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 from collections.abc import Sequence
 from dataclasses import dataclass
+from decimal import Context, Decimal
+from fractions import Fraction
+from operator import attrgetter
+from typing import NamedTuple
 
-from .metrics import AuthorProfile, IndexReport, full_report
+from .metrics import AuthorProfile, HSource, IndexReport, full_report
 
-COLUMNS = ("name", "n_papers", "total_citations", "citations_per_paper", "h", "hm")
+# Exact rationals are emitted as decimal strings with this many
+# significant digits, alongside the display integers.
+JSON_SIG_DIGITS = 12
+_JSON_DECIMALS = Context(prec=JSON_SIG_DIGITS)
 
-_MD_LABELS = {
-    "name": "Name",
-    "n_papers": "N_p",
-    "total_citations": "N_c_tot",
-    "citations_per_paper": "N_c",
-    "h": "h",
-    "hm": "HM",
+
+class _Column(NamedTuple):
+    """One table column. Each field name is ``name`` or an IndexReport field."""
+
+    label: str  # Markdown header; CSV and JSON use the column id itself
+    cell: str  # md/csv cell; None renders as "-" in md, empty in csv
+    sort: str  # exact sort value; rows where it is None sort last
+    json: tuple[str, ...]  # JSON fields, in output order
+
+
+_COLUMNS = {
+    "name": _Column("Name", "name", "name", ("name",)),
+    "n_papers": _Column("N_p", "n_papers", "n_papers", ("n_papers",)),
+    "total_citations": _Column(
+        "N_c_tot", "total_citations", "total_citations", ("total_citations",)
+    ),
+    "citations_per_paper": _Column(
+        "N_c",
+        "citations_per_paper_display",
+        "citations_per_paper",
+        ("citations_per_paper", "citations_per_paper_display"),
+    ),
+    "h": _Column("h", "h", "h", ("h", "h_source")),
+    "hm": _Column("HM", "hm_display", "hm_exact", ("hm_exact", "hm_display")),
+}
+COLUMNS = tuple(_COLUMNS)
+# a getter from a TableRow to each field the columns name
+_GET = {
+    f: attrgetter(f if f == "name" else f"report.{f}")
+    for column in _COLUMNS.values()
+    for f in (column.cell, column.sort, *column.json)
 }
 
 
@@ -38,18 +71,6 @@ class TableRow:
 class ComparisonTable:
     columns: tuple[str, ...]
     rows: tuple[TableRow, ...]
-
-
-def _sort_value(row: TableRow, column: str):
-    if column == "name":
-        return row.name
-    if column == "n_papers":
-        return row.report.n_papers
-    if column == "total_citations":
-        return row.report.total_citations
-    if column == "citations_per_paper":
-        return row.report.citations_per_paper
-    return row.report.hm_exact
 
 
 def compare(
@@ -76,45 +97,30 @@ def compare(
         raise ValueError(f"sort key {sort!r} is not among the selected columns")
 
     rows = [TableRow(p.name, full_report(p)) for p in profiles]
-    if sort == "h":
-        with_h = [r for r in rows if r.report.h is not None]
-        without_h = [r for r in rows if r.report.h is None]
-        with_h.sort(key=lambda r: r.report.h, reverse=descending)
-        rows = with_h + without_h
-    elif sort is not None:
-        rows.sort(key=lambda r: _sort_value(r, sort), reverse=descending)
+    if sort is not None:
+        key = _GET[_COLUMNS[sort].sort]
+        present = [r for r in rows if key(r) is not None]
+        present.sort(key=key, reverse=descending)
+        rows = present + [r for r in rows if key(r) is None]
     return ComparisonTable(columns=cols, rows=tuple(rows))
 
 
-def _cell(row: TableRow, column: str, missing_h: str) -> str:
-    report = row.report
-    if column == "name":
-        return row.name
-    if column == "n_papers":
-        return str(report.n_papers)
-    if column == "total_citations":
-        return str(report.total_citations)
-    if column == "citations_per_paper":
-        return str(report.citations_per_paper_display)
-    if column == "h":
-        return str(report.h) if report.h is not None else missing_h
-    return str(report.hm_display)
+def _cells(table: ComparisonTable, missing: str):
+    getters = [_GET[_COLUMNS[c].cell] for c in table.columns]
+    for row in table.rows:
+        yield [missing if (v := get(row)) is None else str(v) for get in getters]
 
 
 def render_markdown(table: ComparisonTable) -> str:
     """Pipe-delimited Markdown: header, alignment row, one row per report."""
-
-    def md_escape(cell: str) -> str:
-        return cell.replace("|", "\\|")
-
-    header = "| " + " | ".join(_MD_LABELS[c] for c in table.columns) + " |"
+    header = "| " + " | ".join(_COLUMNS[c].label for c in table.columns) + " |"
     align = "| " + " | ".join(
         "---" if c == "name" else "---:" for c in table.columns
     ) + " |"
     lines = [header, align]
-    for row in table.rows:
-        cells = (md_escape(_cell(row, c, missing_h="-")) for c in table.columns)
-        lines.append("| " + " | ".join(cells) + " |")
+    for cells in _cells(table, missing="-"):
+        escaped = (cell.replace("|", "\\|") for cell in cells)
+        lines.append("| " + " | ".join(escaped) + " |")
     return "\n".join(lines) + "\n"
 
 
@@ -123,6 +129,29 @@ def render_csv(table: ComparisonTable) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([_cell(row, c, missing_h="") for c in table.columns])
+    writer.writerows(_cells(table, missing=""))
     return out.getvalue()
+
+
+def fraction_str(value: Fraction) -> str:
+    """Decimal string of an exact fraction at JSON_SIG_DIGITS significant digits."""
+    num, den = Decimal(value.numerator), Decimal(value.denominator)
+    return str(_JSON_DECIMALS.divide(num, den))
+
+
+def _json_value(value: object) -> object:
+    if type(value) is Fraction:  # isinstance() would go through ABCMeta
+        return fraction_str(value)
+    return value.value if isinstance(value, HSource) else value
+
+
+def json_rows(table: ComparisonTable) -> list[dict[str, object]]:
+    """One object per row holding its columns' JSON fields, in column order."""
+    fields = [(f, _GET[f]) for c in table.columns for f in _COLUMNS[c].json]
+    return [{f: _json_value(get(row)) for f, get in fields} for row in table.rows]
+
+
+def render_json(table: ComparisonTable) -> str:
+    """JSON object with the column ids and the rows, 2-space indent."""
+    payload = {"columns": list(table.columns), "rows": json_rows(table)}
+    return json.dumps(payload, indent=2) + "\n"

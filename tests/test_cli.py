@@ -94,6 +94,19 @@ class TestCompute:
         out, _ = capsys.readouterr()
         assert "| data | 5 | 15 | 3 | 3 | 2 |" in out
 
+    def test_kind_makes_a_bare_name_a_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_csv(tmp_path / "data", [5, 4, 3, 2, 1])
+        assert main(["compute", "-i", "data", "--kind", "csv"]) == 0
+        out, _ = capsys.readouterr()
+        assert "| data | 5 | 15 | 3 | 3 | 2 |" in out
+
+    def test_bare_name_is_a_stored_profile(self, ctr_store, capsys, monkeypatch):
+        monkeypatch.setenv("BIBDEX_STORE", str(ctr_store.root))
+        assert main(["compute", "-i", "Germano"]) == 0
+        out, _ = capsys.readouterr()
+        assert "| Germano | 37 | 6235 | 168 | 9 | 30 |" in out
+
     def test_computed_h_source_in_json(self, tmp_path, capsys):
         path = tmp_path / "v.csv"
         write_csv(path, [10, 10])
@@ -127,6 +140,37 @@ class TestCompare:
         assert main(["compare", "--format", "csv"] + paths) == 0
         out, _ = capsys.readouterr()
         assert out.splitlines()[1] == "Germano,37,6235,168,9,30"
+
+    def test_csv_path(self, ctr_store, tmp_path, capsys):
+        path = tmp_path / "r3.csv"
+        write_csv(path, [100] * 100)
+        code = main(["compare", "--store", str(ctr_store.root), "Moin", str(path)])
+        assert code == 0
+        out, _ = capsys.readouterr()
+        assert out.splitlines()[3] == "| r3 | 100 | 10000 | 100 | 100 | 50 |"
+
+    def test_working_directory_file_does_not_shadow_store(
+        self, ctr_store, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "Germano").write_text("not a profile", encoding="utf-8")
+        assert main(["compare", "--store", str(ctr_store.root), "Germano"]) == 0
+        out, _ = capsys.readouterr()
+        assert "| Germano | 37 | 6235 | 168 | 9 | 30 |" in out
+
+    def test_missing_file_names_input(self, ctr_store, capsys):
+        code = main(["compare", "--store", str(ctr_store.root), "x/Moin.json"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("bibdex: error: x/Moin.json: ")
+
+    def test_compute_json_is_the_compare_row(self, ctr_store, capsys):
+        path = str(ctr_store.path_for("Piomelli"))
+        assert main(["compute", "-i", path, "--format", "json"]) == 0
+        single = json.loads(capsys.readouterr().out)
+        assert main(["compare", path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == [single]
 
     def test_single_input(self, ctr_store, capsys):
         assert main(["compare", "--store", str(ctr_store.root), "Moin"]) == 0
@@ -262,6 +306,15 @@ class TestValidate:
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")
         assert main(["validate", "-i", str(path)]) == 1
+
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert main(["validate", "-i", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("bibdex: error: not valid JSON")
 
 
 class TestArgumentErrors:

@@ -79,6 +79,22 @@ class TestCitationCsv:
         with pytest.raises(CsvValueError):
             parse_citation_csv(f"paper_id,citations\np1,{2**31}\n")
 
+    @pytest.mark.parametrize(
+        "count", ["9" * 4301, "1" + "0" * 5000], ids=["9x4301", "1e5000"]
+    )
+    def test_count_beyond_int_digit_limit(self, count):
+        with pytest.raises(CsvValueError) as exc:
+            parse_citation_csv(f"paper_id,citations\np1,{count}\n")
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "count", ["0003", "0" * 5000 + "3"], ids=["0003", "0x5000-3"]
+    )
+    def test_leading_zeros(self, count):
+        assert parse_citation_csv(f"paper_id,citations\np1,{count}\n") == (
+            CitationVector((3,))
+        )
+
     def test_missing_header(self):
         with pytest.raises(CsvFormatError) as exc:
             parse_citation_csv("id,cites\np1,5\n")
@@ -169,6 +185,19 @@ class TestProfileJson:
     def test_invalid_json(self):
         with pytest.raises(ProfileSchemaError):
             parse_profile_json("{not json")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"name":"X","papers":[{"id":"a","citations":%s}]}' % ("9" * 4301),
+            "[" * 100_000 + "]" * 100_000,
+            '{"name":"X","papers":' + "[" * 100_000,
+        ],
+        ids=["int-beyond-digit-limit", "nested-1e5", "nested-1e5-unclosed"],
+    )
+    def test_decoder_limits(self, text):
+        with pytest.raises(ProfileSchemaError):
+            parse_profile_json(text)
 
     def test_unknown_key(self):
         with pytest.raises(ProfileSchemaError):
