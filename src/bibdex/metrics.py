@@ -2,17 +2,17 @@
 
 Computes the Hirsch h-index from per-paper citation counts and the HM
 index, the half harmonic mean of productivity (paper count) and impact
-(citations per paper): 1/H = 1/N_p + 1/N_c. Every intermediate value is
-kept as an exact fraction; rounding happens only in the ``*_display``
-fields, where two different conventions apply (HM is rounded to the
-nearest integer, citations per paper is truncated). All functions here
-are pure and all values immutable, so everything is safe to share
-across threads.
+(citations per paper): 1/H = 1/N_p + 1/N_c. Every value is kept exact.
+Only the ``*_display`` fields round, by integer floor division of the
+exact numerator and denominator, which gives the same result as rounding
+the fraction: HM to the nearest integer, citations per paper truncated.
+All functions here are pure and all values immutable, so everything is
+safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from datetime import date
 from enum import Enum
 from fractions import Fraction
@@ -50,11 +50,14 @@ class CitationVector:
     """Per-paper citation counts for one author. Order carries no meaning."""
 
     counts: tuple[int, ...] = ()
+    # set only by the parsers, which have range-checked every count already
+    _checked: InitVar[bool] = field(default=False, kw_only=True)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _checked: bool) -> None:
         counts = tuple(self.counts)
-        for c in counts:
-            _check_count(c, "citation count")
+        if not _checked:
+            for c in counts:
+                _check_count(c, "citation count")
         object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
@@ -185,6 +188,15 @@ def hm_index(
     return p * c / (p + c)
 
 
+def _hm_terms(n: int, t: int) -> tuple[int, int]:
+    return n * t, n * n + t  # HM = n*t / (n^2 + t), for n >= 1
+
+
+def _round_half_up(num: int, den: int) -> int:
+    """floor(num/den + 1/2) for num >= 0 and den >= 1: the HM display rule."""
+    return (2 * num + den) // (2 * den)
+
+
 def hm_index_from_totals(n_papers: int, total_citations: int) -> Fraction:
     """HM index straight from totals: n*t / (n^2 + t), 0 for n == 0.
 
@@ -195,23 +207,29 @@ def hm_index_from_totals(n_papers: int, total_citations: int) -> Fraction:
     _check_count(total_citations, "total_citations")
     if n_papers == 0:
         return Fraction(0)
-    return Fraction(n_papers * total_citations, n_papers**2 + total_citations)
+    return Fraction(*_hm_terms(n_papers, total_citations))
+
+
+def _display_input(value: int | float | Fraction, rule: str) -> Fraction:
+    try:
+        x = Fraction(value)
+    except OverflowError:  # infinite; NaN raises ValueError itself
+        raise ValueError(f"{rule} needs a finite value, got {value}") from None
+    if x < 0:
+        raise ValueError(f"{rule} needs a non-negative value, got {x}")
+    return x
 
 
 def round_display(value: int | float | Fraction) -> int:
     """Nearest integer, halves rounded away from zero. Display rule for HM."""
-    x = Fraction(value)
-    if x < 0:
-        raise ValueError(f"round_display needs a non-negative value, got {x}")
-    return int(x + Fraction(1, 2))
+    x = _display_input(value, "round_display")
+    return _round_half_up(x.numerator, x.denominator)
 
 
 def truncate_display(value: int | float | Fraction) -> int:
     """Integer part with the fraction discarded. Display rule for N_c."""
-    x = Fraction(value)
-    if x < 0:
-        raise ValueError(f"truncate_display needs a non-negative value, got {x}")
-    return int(x)
+    x = _display_input(value, "truncate_display")
+    return x.numerator // x.denominator
 
 
 def consistency_check(
@@ -265,34 +283,24 @@ def full_report(profile: AuthorProfile) -> IndexReport:
                 f"profile {profile.name!r}: zero papers cannot carry "
                 f"{total} citations"
             )
-        if data.reported_h is not None:
+        if n == 0:
+            h, source = 0, HSource.COMPUTED
+        elif data.reported_h is not None:
             h, source = data.reported_h, HSource.REPORTED
         else:
             h, source = None, None
     else:
         raise TypeError(f"unsupported profile data: {type(data).__name__}")
 
-    if n == 0:
-        return IndexReport(
-            n_papers=0,
-            total_citations=0,
-            citations_per_paper=Fraction(0),
-            citations_per_paper_display=0,
-            h=0,
-            h_source=HSource.COMPUTED,
-            hm_exact=Fraction(0),
-            hm_display=0,
-        )
-
-    per_paper = citations_per_paper(n, total)
-    hm = hm_index(n, per_paper)
+    rate_n = n or 1  # an empty career has no citations either: all values 0
+    hm_num, hm_den = _hm_terms(rate_n, total)
     return IndexReport(
         n_papers=n,
         total_citations=total,
-        citations_per_paper=per_paper,
-        citations_per_paper_display=truncate_display(per_paper),
+        citations_per_paper=Fraction(total, rate_n),
+        citations_per_paper_display=total // rate_n,
         h=h,
         h_source=source,
-        hm_exact=hm,
-        hm_display=round_display(hm),
+        hm_exact=Fraction(hm_num, hm_den),
+        hm_display=_round_half_up(hm_num, hm_den),
     )

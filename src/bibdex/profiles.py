@@ -167,7 +167,7 @@ def parse_citation_csv(text: str | bytes) -> CitationVector:
                 f"citations must be <= {MAX_FIELD_VALUE}, got {raw_count}", line=lineno
             )
         counts.append(count)
-    return CitationVector(tuple(counts))
+    return CitationVector(tuple(counts), _checked=True)
 
 
 def _require_int(value: object, label: str) -> int:
@@ -201,8 +201,10 @@ def _parse_papers(raw: object) -> FullData:
             )
         if not isinstance(entry["id"], str):
             raise ProfileValueError(f"papers[{i}].id must be a string")
-        counts.append(_require_int(entry["citations"], f"papers[{i}].citations"))
-    return FullData(CitationVector(tuple(counts)))
+        if not (type(c := entry["citations"]) is int and 0 <= c <= MAX_FIELD_VALUE):
+            _require_int(c, f"papers[{i}].citations")  # raises, naming the paper
+        counts.append(c)
+    return FullData(CitationVector(tuple(counts), _checked=True))
 
 
 def _parse_aggregate(raw: object) -> AggregateData:

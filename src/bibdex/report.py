@@ -98,10 +98,15 @@ def compare(
 
     rows = [TableRow(p.name, full_report(p)) for p in profiles]
     if sort is not None:
-        key = _GET[_COLUMNS[sort].sort]
-        present = [r for r in rows if key(r) is not None]
-        present.sort(key=key, reverse=descending)
-        rows = present + [r for r in rows if key(r) is None]
+        get = _GET[_COLUMNS[sort].sort]
+        present = [r for r in rows if get(r) is not None]
+        keys = [get(r) for r in present]
+        if keys and type(keys[0]) is Fraction:
+            # exact: distinct x with denominators <= D are >= 1/D**2 > 2**-k apart
+            k = 2 * max(x.denominator for x in keys).bit_length() + 1
+            keys = [(x.numerator << k) // x.denominator for x in keys]
+        order = sorted(range(len(present)), key=keys.__getitem__, reverse=descending)
+        rows = [present[i] for i in order] + [r for r in rows if get(r) is None]
     return ComparisonTable(columns=cols, rows=tuple(rows))
 
 

@@ -1,5 +1,6 @@
 """Unit and property tests for the metric computations."""
 
+import math
 from datetime import date
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibdex import (
+    MAX_FIELD_VALUE,
     AggregateData,
     AuthorProfile,
     CitationVector,
@@ -200,6 +202,12 @@ class TestDisplayRounding:
         with pytest.raises(ValueError):
             truncate_display(-1)
 
+    @pytest.mark.parametrize("display", [round_display, truncate_display])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_rejected(self, display, value):
+        with pytest.raises(ValueError):
+            display(value)
+
     @given(rationals)
     def test_round_within_half(self, x):
         assert abs(round_display(x) - x) <= Fraction(1, 2)
@@ -281,6 +289,79 @@ class TestFullReport:
         assert rep.citations_per_paper_display == truncate_display(
             rep.citations_per_paper
         )
+
+
+def fraction_path(n, t):
+    """Report values the long way: public Fraction functions, then floor()."""
+    per = citations_per_paper(n, t)
+    hm = hm_index(n, per)
+    if t <= MAX_FIELD_VALUE:  # a full vector's total may exceed one count's cap
+        assert hm == hm_index_from_totals(n, t)
+    assert truncate_display(per) == math.floor(per)
+    assert round_display(hm) == math.floor(hm + Fraction(1, 2))
+    return per, truncate_display(per), hm, round_display(hm)
+
+
+def report_values(rep):
+    return (
+        rep.citations_per_paper,
+        rep.citations_per_paper_display,
+        rep.hm_exact,
+        rep.hm_display,
+    )
+
+
+counts_to_max = st.integers(0, MAX_FIELD_VALUE)
+
+
+class TestIntegerPathMatchesFractionPath:
+    """full_report's integer arithmetic against the Fraction functions."""
+
+    @given(st.integers(1, MAX_FIELD_VALUE), counts_to_max)
+    @settings(max_examples=500)
+    def test_aggregate(self, n, t):
+        rep = full_report(AuthorProfile("A", AggregateData(n, t)))
+        assert report_values(rep) == fraction_path(n, t)
+        assert type(rep.citations_per_paper) is type(rep.hm_exact) is Fraction
+
+    @given(st.lists(counts_to_max, min_size=1, max_size=20))
+    @settings(max_examples=300)
+    def test_full(self, counts):
+        rep = full_report(AuthorProfile("F", FullData(CitationVector(counts))))
+        assert report_values(rep) == fraction_path(len(counts), sum(counts))
+
+    @pytest.mark.parametrize(
+        "n, t, hm, hm_display",
+        [
+            (1, 1, Fraction(1, 2), 1),
+            (2, 12, Fraction(3, 2), 2),
+            (3, 45, Fraction(5, 2), 3),
+            (7, 637, Fraction(13, 2), 7),
+            (46339, 46339**2, Fraction(46339, 2), 23170),
+        ],
+    )
+    def test_exact_halves_round_up(self, n, t, hm, hm_display):
+        rep = full_report(AuthorProfile("A", AggregateData(n, t)))
+        assert (rep.hm_exact, rep.hm_display) == (hm, hm_display)
+        assert report_values(rep) == fraction_path(n, t)
+
+    def test_exact_rate_not_truncated_rate(self):
+        """The paper's case: HM 51 from the exact rate, 50 from the truncated 76."""
+        rep = full_report(AuthorProfile("Piomelli", AggregateData(150, 11467)))
+        assert report_values(rep) == fraction_path(150, 11467)
+        assert (rep.citations_per_paper_display, rep.hm_display) == (76, 51)
+        assert round_display(hm_index(150, 76)) == 50
+
+    @pytest.mark.parametrize("t", [0, 1, 2, MAX_FIELD_VALUE - 1, MAX_FIELD_VALUE])
+    def test_max_paper_count(self, t):
+        n = MAX_FIELD_VALUE
+        rep = full_report(AuthorProfile("A", AggregateData(n, t)))
+        assert report_values(rep) == fraction_path(n, t)
+
+    def test_max_full_vector(self):
+        counts = (MAX_FIELD_VALUE,) * 5
+        rep = full_report(AuthorProfile("F", FullData(CitationVector(counts))))
+        assert report_values(rep) == fraction_path(5, 5 * MAX_FIELD_VALUE)
 
 
 class TestValidation:

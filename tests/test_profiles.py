@@ -215,6 +215,27 @@ class TestProfileJson:
         with pytest.raises(ProfileValueError):
             parse_profile_json('{"name":"X","papers":[{"id":"a","citations":true}]}')
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("true", "papers[2].citations must be an integer, got True"),
+            ("-1", "papers[2].citations must be >= 0, got -1"),
+            (
+                "2147483648",
+                "papers[2].citations must be <= 2147483647, got 2147483648",
+            ),
+            ("1.5", "papers[2].citations must be an integer, got 1.5"),
+            ('"7"', "papers[2].citations must be an integer, got '7'"),
+        ],
+        ids=["bool", "negative", "over-max", "float", "string"],
+    )
+    def test_bad_citations_message(self, raw, message):
+        papers = '{"id":"a","citations":0},{"id":"b","citations":2147483647}'
+        text = '{"name":"X","papers":[%s,{"id":"c","citations":%s}]}' % (papers, raw)
+        with pytest.raises(ProfileValueError) as info:
+            parse_profile_json(text)
+        assert str(info.value) == message
+
     def test_negative_aggregate(self):
         with pytest.raises(ProfileValueError):
             parse_profile_json(

@@ -2,16 +2,23 @@
 
 import csv
 import io
+import math
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibdex import (
+    MAX_FIELD_VALUE,
     AggregateData,
     AuthorProfile,
     CitationVector,
     FullData,
+    HSource,
     InconsistentAggregateError,
+    IndexReport,
     compare,
     full_report,
     load_builtin_cohort,
@@ -129,6 +136,148 @@ class TestCompare:
     def test_inconsistent_aggregate_names_profile(self):
         with pytest.raises(InconsistentAggregateError, match="Phantom"):
             compare([AuthorProfile("Phantom", AggregateData(0, 3))])
+
+
+M = MAX_FIELD_VALUE
+EXACT_SORTS = [
+    (sort, descending)
+    for sort in ("hm", "citations_per_paper")
+    for descending in (False, True)
+]
+# the exact value each column sorts on
+SORT_FIELD = {
+    "name": None,
+    "n_papers": "n_papers",
+    "total_citations": "total_citations",
+    "citations_per_paper": "citations_per_paper",
+    "h": "h",
+    "hm": "hm_exact",
+}
+
+
+def oracle_order(named_reports, sort, descending):
+    """Names stably sorted on the exact values; rows with no value go last."""
+    field = SORT_FIELD[sort]
+    values = [
+        (name, name if field is None else getattr(rep, field))
+        for name, rep in named_reports
+    ]
+    present = [pair for pair in values if pair[1] is not None]
+    present.sort(key=itemgetter(1), reverse=descending)
+    return [name for name, _ in present] + [n for n, v in values if v is None]
+
+
+def sorted_names(profiles, sort, descending):
+    return [row.name for row in compare(profiles, sort=sort, descending=descending).rows]
+
+
+def check_exact_order(profiles, sort, descending):
+    named = [(p.name, full_report(p)) for p in profiles]
+    expected = oracle_order(named, sort, descending)
+    assert sorted_names(profiles, sort, descending) == expected
+
+
+aggregates = st.builds(
+    lambda n, t, h: (n, t if n else 0, h),
+    st.integers(0, M),
+    st.integers(0, M),
+    st.none() | st.integers(0, M),
+)
+
+
+class TestExactSortOrder:
+    """compare() orders rows exactly as a stable sort on the exact values."""
+
+    @pytest.mark.parametrize("sort, descending", EXACT_SORTS)
+    def test_near_ties_at_max_paper_count(self, sort, descending):
+        # HM(n, n + 1) and HM(n - 1, n) differ by about 2/n**3, near 2**-92;
+        # t/n and (t - 1)/(n - 1) by about 1/n**2
+        specs = [(M - 2, M - 1), (M, M), (M - 1, M), (M, M - 1), (M - 1, M - 2)]
+        profiles = [
+            AuthorProfile(f"a{i}", AggregateData(n, t)) for i, (n, t) in enumerate(specs)
+        ]
+        hms = sorted({full_report(p).hm_exact for p in profiles})
+        assert min(b - a for a, b in zip(hms, hms[1:])) < Fraction(1, 2**91)
+        check_exact_order(profiles, sort, descending)
+
+    @pytest.mark.parametrize("sort, descending", EXACT_SORTS)
+    def test_equal_values_keep_input_order(self, sort, descending):
+        # HM 3/2 from three (n, t) pairs, 1000/101 from two; N_c 2 from two
+        specs = [(3, 9), (10, 10000), (2, 4), (6, 12), (1000, 10000), (2, 12), (3, 6)]
+        profiles = [
+            AuthorProfile(f"e{i}", AggregateData(n, t)) for i, (n, t) in enumerate(specs)
+        ]
+        names = sorted_names(profiles, sort, descending)
+        check_exact_order(profiles, sort, descending)
+        if sort == "hm":
+            ties = ["e0", "e3", "e5"]
+        else:
+            ties = ["e2", "e6"]
+        assert [n for n in names if n in ties] == ties
+
+    @pytest.mark.parametrize("sort, descending", EXACT_SORTS)
+    def test_denominators_beyond_2_63(self, monkeypatch, sort, descending):
+        """The key's shift comes from the table, not from MAX_FIELD_VALUE.
+
+        No profile under the count cap reaches these denominators, so the
+        reports are substituted; the values differ by about 2**-139.
+        """
+        b = 2**70
+        values = [
+            Fraction(b + 2, b + 4),
+            Fraction(b + 1, b + 3),
+            Fraction(1, b + 5),
+            Fraction(b + 1, b + 3),
+            Fraction(3, 2),
+        ]
+        assert all(v.denominator > 2**63 for v in values[:4])
+        reports = {
+            f"f{i}": IndexReport(
+                n_papers=1,
+                total_citations=0,
+                citations_per_paper=v,
+                citations_per_paper_display=math.floor(v),
+                h=0,
+                h_source=HSource.COMPUTED,
+                hm_exact=v,
+                hm_display=math.floor(v + Fraction(1, 2)),
+            )
+            for i, v in enumerate(values)
+        }
+        monkeypatch.setattr("bibdex.report.full_report", lambda p: reports[p.name])
+        profiles = [AuthorProfile(name, FullData(CitationVector(()))) for name in reports]
+        expected = oracle_order(reports.items(), sort, descending)
+        assert sorted_names(profiles, sort, descending) == expected
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_rows_without_h_still_last(self, descending):
+        profiles = [
+            AuthorProfile("nh1", AggregateData(M, M)),
+            AuthorProfile("r1", AggregateData(M, M, reported_h=7)),
+            AuthorProfile("f1", FullData(CitationVector((M, M, 1)))),
+            AuthorProfile("nh2", AggregateData(1, 1)),
+            AuthorProfile("r2", AggregateData(3, 9, reported_h=2)),
+        ]
+        names = sorted_names(profiles, "h", descending)
+        assert names[-2:] == ["nh1", "nh2"]
+        check_exact_order(profiles, "h", descending)
+
+    @given(
+        st.lists(aggregates, max_size=12),
+        st.lists(st.lists(st.integers(0, M), max_size=4), max_size=4),
+        st.sampled_from(sorted(SORT_FIELD)),
+        st.booleans(),
+    )
+    @settings(max_examples=200)
+    def test_matches_stable_exact_sort(self, specs, vectors, sort, descending):
+        profiles = [
+            AuthorProfile(f"a{i}", AggregateData(n, t, reported_h=h))
+            for i, (n, t, h) in enumerate(specs)
+        ] + [
+            AuthorProfile(f"f{i}", FullData(CitationVector(v)))
+            for i, v in enumerate(vectors)
+        ]
+        check_exact_order(profiles, sort, descending)
 
 
 class TestRenderMarkdown:
