@@ -4,93 +4,11 @@ Exact-rational metric computation, citation CSV / profile JSON ingestion
 with a file-backed store, bundled demo cohorts, and table rendering.
 """
 
-from .metrics import (
-    MAX_FIELD_VALUE,
-    RULE_H_EXCEEDS_PAPER_COUNT,
-    RULE_H_SQUARED_EXCEEDS_TOTAL_CITATIONS,
-    AggregateData,
-    AuthorProfile,
-    CitationVector,
-    FullData,
-    HSource,
-    InconsistentAggregateError,
-    IndexReport,
-    ValidationResult,
-    Violation,
-    citations_per_paper,
-    consistency_check,
-    full_report,
-    h_index,
-    hm_index,
-    hm_index_from_totals,
-    round_display,
-    total_citations,
-    truncate_display,
-)
-from .profiles import (
-    Cohort,
-    CsvError,
-    CsvFormatError,
-    CsvValueError,
-    DuplicatePaperIdError,
-    ProfileError,
-    ProfileNotFoundError,
-    ProfileSchemaError,
-    ProfileStore,
-    ProfileValueError,
-    StoreError,
-    UnknownCohortError,
-    load_builtin_cohort,
-    parse_citation_csv,
-    parse_profile_json,
-    serialize_profile,
-)
-from .report import COLUMNS, ComparisonTable, TableRow, compare, render_csv, render_markdown
+from . import metrics, profiles, report
+from .metrics import *
+from .profiles import *
+from .report import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAX_FIELD_VALUE",
-    "RULE_H_EXCEEDS_PAPER_COUNT",
-    "RULE_H_SQUARED_EXCEEDS_TOTAL_CITATIONS",
-    "AggregateData",
-    "AuthorProfile",
-    "CitationVector",
-    "Cohort",
-    "COLUMNS",
-    "ComparisonTable",
-    "CsvError",
-    "CsvFormatError",
-    "CsvValueError",
-    "DuplicatePaperIdError",
-    "FullData",
-    "HSource",
-    "InconsistentAggregateError",
-    "IndexReport",
-    "ProfileError",
-    "ProfileNotFoundError",
-    "ProfileSchemaError",
-    "ProfileStore",
-    "ProfileValueError",
-    "StoreError",
-    "TableRow",
-    "UnknownCohortError",
-    "ValidationResult",
-    "Violation",
-    "citations_per_paper",
-    "compare",
-    "consistency_check",
-    "full_report",
-    "h_index",
-    "hm_index",
-    "hm_index_from_totals",
-    "load_builtin_cohort",
-    "parse_citation_csv",
-    "parse_profile_json",
-    "render_csv",
-    "render_markdown",
-    "round_display",
-    "serialize_profile",
-    "total_citations",
-    "truncate_display",
-]
+__all__ = [*metrics.__all__, *profiles.__all__, *report.__all__]

@@ -17,6 +17,30 @@ from datetime import date
 from enum import Enum
 from fractions import Fraction
 
+__all__ = [
+    "MAX_FIELD_VALUE",
+    "RULE_H_EXCEEDS_PAPER_COUNT",
+    "RULE_H_SQUARED_EXCEEDS_TOTAL_CITATIONS",
+    "AggregateData",
+    "AuthorProfile",
+    "CitationVector",
+    "FullData",
+    "HSource",
+    "InconsistentAggregateError",
+    "IndexReport",
+    "ValidationResult",
+    "Violation",
+    "citations_per_paper",
+    "consistency_check",
+    "full_report",
+    "h_index",
+    "hm_index",
+    "hm_index_from_totals",
+    "round_display",
+    "total_citations",
+    "truncate_display",
+]
+
 # Per-field cap; exact identities must hold without overflow anywhere.
 MAX_FIELD_VALUE = 2**31 - 1
 
@@ -213,7 +237,7 @@ def hm_index_from_totals(n_papers: int, total_citations: int) -> Fraction:
 def _display_input(value: int | float | Fraction, rule: str) -> Fraction:
     try:
         x = Fraction(value)
-    except OverflowError:  # infinite; NaN raises ValueError itself
+    except (OverflowError, ValueError):  # infinite or NaN
         raise ValueError(f"{rule} needs a finite value, got {value}") from None
     if x < 0:
         raise ValueError(f"{rule} needs a non-negative value, got {x}")

@@ -34,6 +34,25 @@ from .metrics import (
     _check_count,
 )
 
+__all__ = [
+    "Cohort",
+    "CsvError",
+    "CsvFormatError",
+    "CsvValueError",
+    "DuplicatePaperIdError",
+    "ProfileError",
+    "ProfileNotFoundError",
+    "ProfileSchemaError",
+    "ProfileStore",
+    "ProfileValueError",
+    "StoreError",
+    "UnknownCohortError",
+    "load_builtin_cohort",
+    "parse_citation_csv",
+    "parse_profile_json",
+    "serialize_profile",
+]
+
 CSV_HEADER = "paper_id,citations"
 
 _PROFILE_KEYS = {"name", "snapshot_date", "papers", "aggregate"}
@@ -156,13 +175,9 @@ def parse_citation_csv(text: str | bytes) -> CitationVector:
                 f"got {raw_count!r}",
                 line=lineno,
             )
-        if len(raw_count) <= _MAX_DIGITS:
-            count = int(raw_count)
-        else:  # leading zeros keep parsing; int() refuses over 4,300 digits
+        if len(raw_count) > _MAX_DIGITS:  # zero-padded? int() refuses 4,301+ digits
             raw_count = raw_count.lstrip("0") or "0"
-            too_long = len(raw_count) > _MAX_DIGITS
-            count = MAX_FIELD_VALUE + 1 if too_long else int(raw_count)
-        if count > MAX_FIELD_VALUE:
+        if len(raw_count) > _MAX_DIGITS or (count := int(raw_count)) > MAX_FIELD_VALUE:
             raise CsvValueError(
                 f"citations must be <= {MAX_FIELD_VALUE}, got {raw_count}", line=lineno
             )
@@ -352,7 +367,7 @@ class ProfileStore:
         return path
 
     def load(self, name: str) -> AuthorProfile:
-        """Read a stored profile back."""
+        """Read a stored profile back; its file must hold a profile of that name."""
         path = self.path_for(name)
         try:
             raw = path.read_bytes()
@@ -363,9 +378,14 @@ class ProfileStore:
         except OSError as exc:
             raise StoreError(f"cannot read {path}: {exc}") from exc
         try:
-            return parse_profile_json(raw)
+            profile = parse_profile_json(raw)
         except ProfileError as exc:
             raise ProfileSchemaError(f"corrupt profile file {path}: {exc}") from exc
+        if profile.name != name:
+            raise ProfileSchemaError(
+                f"profile file {path} holds {profile.name!r}, not {name!r}"
+            )
+        return profile
 
     def names(self) -> list[str]:
         """Names of every stored profile, sorted."""

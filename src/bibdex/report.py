@@ -20,6 +20,15 @@ from typing import NamedTuple
 
 from .metrics import AuthorProfile, HSource, IndexReport, full_report
 
+__all__ = [
+    "COLUMNS",
+    "ComparisonTable",
+    "TableRow",
+    "compare",
+    "render_csv",
+    "render_markdown",
+]
+
 # Exact rationals are emitted as decimal strings with this many
 # significant digits, alongside the display integers.
 JSON_SIG_DIGITS = 12

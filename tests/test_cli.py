@@ -196,6 +196,14 @@ class TestCompare:
         assert out == ""
         assert "ghost1" in err and "ghost2" in err
 
+    def test_stored_name_mismatch_is_an_input_error(self, ctr_store, capsys):
+        moin = (ctr_store.root / "Moin.json").read_text(encoding="utf-8")
+        (ctr_store.root / "Germano.json").write_text(moin, encoding="utf-8")
+        assert main(["compare", "--store", str(ctr_store.root), "Germano"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "'Germano'" in err and "'Moin'" in err
+
     def test_sort_descending(self, ctr_store, capsys):
         code = main(
             ["compare", "--store", str(ctr_store.root), "--sort", "hm", "--desc"]
@@ -291,6 +299,27 @@ class TestValidate:
         payload = json.loads(out)
         assert payload["passed"] is False
         assert payload["violations"][0]["rule"] == "h_exceeds_paper_count"
+
+    @pytest.mark.parametrize(
+        ("h", "code", "expected"),
+        [
+            (2, 0, '{\n  "passed": true,\n  "violations": []\n}\n'),
+            (
+                40,
+                2,
+                '{\n  "passed": false,\n  "violations": [\n'
+                '    {\n      "rule": "h_exceeds_paper_count",\n'
+                '      "message": "h=40 exceeds the paper count 5"\n    },\n'
+                '    {\n      "rule": "h_squared_exceeds_total_citations",\n'
+                '      "message": "h^2=1600 exceeds the total citations 1000"\n'
+                "    }\n  ]\n}\n",
+            ),
+        ],
+    )
+    def test_json_bytes(self, tmp_path, capsys, h, code, expected):
+        path = self.aggregate_file(tmp_path, 5, 1000, h)
+        assert main(["validate", "-i", path, "--format", "json"]) == code
+        assert capsys.readouterr().out == expected
 
     def test_nothing_to_validate(self, tmp_path, capsys):
         path = tmp_path / "full.json"

@@ -205,7 +205,7 @@ class TestDisplayRounding:
     @pytest.mark.parametrize("display", [round_display, truncate_display])
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_rejected(self, display, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite"):
             display(value)
 
     @given(rationals)

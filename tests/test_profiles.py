@@ -360,6 +360,18 @@ class TestProfileStore:
         with pytest.raises(ProfileSchemaError, match="bad.json"):
             ProfileStore(tmp_path).load("bad")
 
+    def test_load_rejects_mismatched_name(self, tmp_path):
+        path = tmp_path / "Germano.json"
+        path.write_text(
+            serialize_profile(AuthorProfile("Moin", AggregateData(288, 38042))),
+            encoding="utf-8",
+        )
+        with pytest.raises(ProfileSchemaError) as info:
+            ProfileStore(tmp_path).load("Germano")
+        message = str(info.value)
+        assert str(path) in message
+        assert "'Germano'" in message and "'Moin'" in message
+
     def test_load_truncated_file(self, tmp_path):
         store = ProfileStore(tmp_path)
         path = store.save(AuthorProfile("T", AggregateData(5, 25)))
