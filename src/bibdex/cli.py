@@ -17,8 +17,6 @@ Payload goes to stdout, every diagnostic to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -29,6 +27,7 @@ from .profiles import (
     Cohort,
     ProfileError,
     ProfileStore,
+    _check_name,
     load_builtin_cohort,
     parse_citation_csv,
     parse_profile_json,
@@ -81,7 +80,7 @@ def _resolve(raw: str, store: ProfileStore, kind: str | None = None) -> AuthorPr
         return parse_profile_json(data)
     # a bare citation list has no author name; the file name stands in
     return AuthorProfile(
-        name=path.stem or "input", data=FullData(parse_citation_csv(data))
+        name=_check_name(path.stem or "input"), data=FullData(parse_citation_csv(data))
     )
 
 
@@ -89,6 +88,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     profile = _resolve(args.input, _store(args), args.kind)
     table = tables.compare([profile])
     if args.format == "json":
+        import json
         # one author: its row alone, without the table around it
         print(json.dumps(tables.json_rows(table)[0], indent=2))
     else:
@@ -132,7 +132,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         return EXIT_INPUT_ERROR
     result = consistency_check(data.n_papers, data.total_citations, data.reported_h)
     if args.format == "json":
-        print(json.dumps(dataclasses.asdict(result), indent=2))
+        import json
+        violations = [{"rule": v.rule, "message": v.message} for v in result.violations]
+        print(json.dumps({"passed": result.passed, "violations": violations}, indent=2))
     elif result.passed:
         print(
             f"pass: h={data.reported_h} is consistent with "

@@ -12,7 +12,6 @@ safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
 from datetime import date
 from enum import Enum
 from fractions import Fraction
@@ -69,20 +68,52 @@ def _check_count(value: int, label: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class CitationVector:
+class _Record:
+    """Immutable record compared, hashed and printed by the fields in ``__slots__``,
+    which each subclass's ``__init__`` sets through ``_set``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_set = object.__setattr__
+
+
+class CitationVector(_Record):
     """Per-paper citation counts for one author. Order carries no meaning."""
 
-    counts: tuple[int, ...] = ()
-    # set only by the parsers, which have range-checked every count already
-    _checked: InitVar[bool] = field(default=False, kw_only=True)
+    __slots__ = ("counts",)
 
-    def __post_init__(self, _checked: bool) -> None:
-        counts = tuple(self.counts)
+    # _checked is set only by the parsers, which have range-checked every count
+    def __init__(self, counts: tuple[int, ...] = (), *, _checked: bool = False):
+        counts = tuple(counts)
         if not _checked:
             for c in counts:
                 _check_count(c, "citation count")
-        object.__setattr__(self, "counts", counts)
+        _set(self, "counts", counts)
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -91,43 +122,46 @@ class CitationVector:
         return iter(self.counts)
 
 
-@dataclass(frozen=True)
-class FullData:
+class FullData(_Record):
     """Author data with the complete citation vector."""
 
-    vector: CitationVector
+    __slots__ = ("vector",)
+
+    def __init__(self, vector: CitationVector):
+        _set(self, "vector", vector)
 
 
-@dataclass(frozen=True)
-class AggregateData:
+class AggregateData(_Record):
     """Author data reduced to totals, optionally with an externally reported h.
 
     ``reported_h`` is stored as given; whether it is consistent with the
     totals is the job of :func:`consistency_check`, not the constructor.
     """
 
-    n_papers: int
-    total_citations: int
-    reported_h: int | None = None
+    __slots__ = ("n_papers", "total_citations", "reported_h")
 
-    def __post_init__(self) -> None:
-        _check_count(self.n_papers, "n_papers")
-        _check_count(self.total_citations, "total_citations")
-        if self.reported_h is not None:
-            _check_count(self.reported_h, "reported_h")
+    def __init__(self, n_papers: int, total_citations: int,
+                 reported_h: int | None = None):
+        _set(self, "n_papers", _check_count(n_papers, "n_papers"))
+        _set(self, "total_citations", _check_count(total_citations, "total_citations"))
+        if reported_h is not None:
+            _check_count(reported_h, "reported_h")
+        _set(self, "reported_h", reported_h)
 
 
-@dataclass(frozen=True)
-class AuthorProfile:
+class AuthorProfile(_Record):
     """Named author record: a full citation vector or aggregate totals."""
 
-    name: str
-    data: FullData | AggregateData
-    snapshot_date: date | None = None
+    __slots__ = ("name", "data", "snapshot_date")
+
+    def __init__(self, name: str, data: FullData | AggregateData,
+                 snapshot_date: date | None = None):
+        _set(self, "name", name)
+        _set(self, "data", data)
+        _set(self, "snapshot_date", snapshot_date)
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(_Record):
     """Every statistic computed for one author.
 
     ``citations_per_paper`` and ``hm_exact`` are exact fractions;
@@ -136,38 +170,46 @@ class IndexReport:
     when it cannot be known (aggregate data without a reported value).
     """
 
-    n_papers: int
-    total_citations: int
-    citations_per_paper: Fraction
-    citations_per_paper_display: int
-    h: int | None
-    h_source: HSource | None
-    hm_exact: Fraction
-    hm_display: int
+    __slots__ = ("n_papers", "total_citations", "citations_per_paper",
+                 "citations_per_paper_display", "h", "h_source", "hm_exact",
+                 "hm_display")
 
-    def __post_init__(self) -> None:
-        if (self.h is None) != (self.h_source is None):
+    def __init__(self, n_papers: int, total_citations: int,
+                 citations_per_paper: Fraction, citations_per_paper_display: int,
+                 h: int | None, h_source: HSource | None,
+                 hm_exact: Fraction, hm_display: int):
+        if (h is None) != (h_source is None):
             raise ValueError("h and h_source must be both present or both absent")
+        _set(self, "n_papers", n_papers)
+        _set(self, "total_citations", total_citations)
+        _set(self, "citations_per_paper", citations_per_paper)
+        _set(self, "citations_per_paper_display", citations_per_paper_display)
+        _set(self, "h", h)
+        _set(self, "h_source", h_source)
+        _set(self, "hm_exact", hm_exact)
+        _set(self, "hm_display", hm_display)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One failed consistency rule."""
 
-    rule: str
-    message: str
+    __slots__ = ("rule", "message")
+
+    def __init__(self, rule: str, message: str):
+        _set(self, "rule", rule)
+        _set(self, "message", message)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(_Record):
     """Outcome of consistency checks; passes exactly when nothing failed."""
 
-    passed: bool
-    violations: tuple[Violation, ...] = ()
+    __slots__ = ("passed", "violations")
 
-    def __post_init__(self) -> None:
-        if self.passed != (len(self.violations) == 0):
+    def __init__(self, passed: bool, violations: tuple[Violation, ...] = ()):
+        if passed != (len(violations) == 0):
             raise ValueError("passed must mirror an empty violation list")
+        _set(self, "passed", passed)
+        _set(self, "violations", violations)
 
 
 def total_citations(vector: CitationVector) -> int:
@@ -318,13 +360,7 @@ def full_report(profile: AuthorProfile) -> IndexReport:
 
     rate_n = n or 1  # an empty career has no citations either: all values 0
     hm_num, hm_den = _hm_terms(rate_n, total)
-    return IndexReport(
-        n_papers=n,
-        total_citations=total,
-        citations_per_paper=Fraction(total, rate_n),
-        citations_per_paper_display=total // rate_n,
-        h=h,
-        h_source=source,
-        hm_exact=Fraction(hm_num, hm_den),
-        hm_display=_round_half_up(hm_num, hm_den),
+    return IndexReport(  # by position: keyword arguments cost more per row
+        n, total, Fraction(total, rate_n), total // rate_n, h, source,
+        Fraction(hm_num, hm_den), _round_half_up(hm_num, hm_den),
     )

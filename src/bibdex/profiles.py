@@ -17,10 +17,8 @@ concurrent readers never see a torn file and the last writer wins.
 
 from __future__ import annotations
 
-import json
 import os
 import re
-import tempfile
 from datetime import date
 from enum import Enum
 from pathlib import Path
@@ -60,6 +58,7 @@ _PAPER_KEYS = {"id", "citations"}
 _AGGREGATE_KEYS = {"n_papers", "total_citations", "reported_h"}
 _DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}\Z")
 _STORE_NAME_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
+_C0_RE = re.compile(r"[\x00-\x1f]")  # a line break or tab would break a table row
 _MAX_DIGITS = len(str(MAX_FIELD_VALUE))
 
 
@@ -185,6 +184,15 @@ def parse_citation_csv(text: str | bytes) -> CitationVector:
     return CitationVector(tuple(counts), _checked=True)
 
 
+def _check_name(name: str) -> str:
+    """An author name that every table renders on one line, in visible cells."""
+    if _C0_RE.search(name) or name.isspace():
+        raise ProfileValueError(
+            f"name has a control character or is all whitespace: {name!r}"
+        )
+    return name
+
+
 def _require_int(value: object, label: str) -> int:
     try:
         return _check_count(value, label)
@@ -249,6 +257,7 @@ def _parse_aggregate(raw: object) -> AggregateData:
 
 def parse_profile_json(text: str | bytes) -> AuthorProfile:
     """Parse a profile JSON document into an AuthorProfile."""
+    import json
     decoded = _decode(text, ProfileSchemaError)
     try:
         obj = json.loads(decoded)
@@ -262,6 +271,7 @@ def parse_profile_json(text: str | bytes) -> AuthorProfile:
     name = obj.get("name")
     if not isinstance(name, str) or not name:
         raise ProfileSchemaError("'name' is required and must be a non-empty string")
+    _check_name(name)
     snapshot = None
     if "snapshot_date" in obj:
         snapshot = _parse_snapshot_date(obj["snapshot_date"])
@@ -279,6 +289,7 @@ def parse_profile_json(text: str | bytes) -> AuthorProfile:
 
 def serialize_profile(profile: AuthorProfile) -> str:
     """Inverse of parse_profile_json. Paper ids are synthesized as p1..pN."""
+    import json
     if not profile.name:
         raise ProfileValueError("cannot serialize a profile with an empty name")
     obj: dict[str, object] = {"name": profile.name}
@@ -338,15 +349,20 @@ class ProfileStore:
     def __init__(self, root: str | Path):
         self.root = Path(root)
 
-    def path_for(self, name: str) -> Path:
+    def _file(self, name: str) -> str:
         if not _STORE_NAME_RE.match(name):
             raise ProfileValueError(
                 f"store names must match [A-Za-z0-9_-]+, got {name!r}"
             )
-        return self.root / f"{name}.json"
+        root = str(self.root)  # as ``self.root / ...`` does, drop a bare "." root
+        return os.path.join("" if root == "." else root, f"{name}.json")
+
+    def path_for(self, name: str) -> Path:
+        return Path(self._file(name))
 
     def save(self, profile: AuthorProfile) -> Path:
         """Write the profile atomically; an existing one is replaced."""
+        import tempfile
         path = self.path_for(profile.name)
         text = serialize_profile(profile)
         try:
@@ -368,9 +384,10 @@ class ProfileStore:
 
     def load(self, name: str) -> AuthorProfile:
         """Read a stored profile back; its file must hold a profile of that name."""
-        path = self.path_for(name)
+        path = self._file(name)
         try:
-            raw = path.read_bytes()
+            with open(path, "rb", buffering=0) as handle:
+                raw = handle.readall()
         except FileNotFoundError:
             raise ProfileNotFoundError(
                 f"no stored profile named {name!r} in {self.root}"

@@ -8,17 +8,13 @@ strings.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 from operator import attrgetter
-from typing import NamedTuple
 
-from .metrics import AuthorProfile, HSource, IndexReport, full_report
+from .metrics import AuthorProfile, HSource, IndexReport, _Record, _set, full_report
 
 __all__ = [
     "COLUMNS",
@@ -35,14 +31,12 @@ JSON_SIG_DIGITS = 12
 _JSON_DECIMALS = Context(prec=JSON_SIG_DIGITS)
 
 
-class _Column(NamedTuple):
-    """One table column. Each field name is ``name`` or an IndexReport field."""
-
-    label: str  # Markdown header; CSV and JSON use the column id itself
-    cell: str  # md/csv cell; None renders as "-" in md, empty in csv
-    sort: str  # exact sort value; rows where it is None sort last
-    json: tuple[str, ...]  # JSON fields, in output order
-
+# One table column. Each field name is ``name`` or an IndexReport field.
+# label: Markdown header; CSV and JSON use the column id itself
+# cell: md/csv cell; None renders as "-" in md, empty in csv
+# sort: exact sort value; rows where it is None sort last
+# json: JSON fields, in output order
+_Column = namedtuple("_Column", "label cell sort json")
 
 _COLUMNS = {
     "name": _Column("Name", "name", "name", ("name",)),
@@ -68,18 +62,22 @@ _GET = {
 }
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(_Record):
     """One author's report plus the name it is listed under."""
 
-    name: str
-    report: IndexReport
+    __slots__ = ("name", "report")
+
+    def __init__(self, name: str, report: IndexReport):
+        _set(self, "name", name)
+        _set(self, "report", report)
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
-    columns: tuple[str, ...]
-    rows: tuple[TableRow, ...]
+class ComparisonTable(_Record):
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns: tuple[str, ...], rows: tuple[TableRow, ...]):
+        _set(self, "columns", columns)
+        _set(self, "rows", rows)
 
 
 def compare(
@@ -133,13 +131,15 @@ def render_markdown(table: ComparisonTable) -> str:
     ) + " |"
     lines = [header, align]
     for cells in _cells(table, missing="-"):
-        escaped = (cell.replace("|", "\\|") for cell in cells)
+        escaped = (c.replace("\\", "\\\\").replace("|", "\\|") for c in cells)
         lines.append("| " + " | ".join(escaped) + " |")
     return "\n".join(lines) + "\n"
 
 
 def render_csv(table: ComparisonTable) -> str:
     """CSV with lower_snake_case headers, LF endings, empty field for no h."""
+    import csv
+    import io
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(table.columns)
@@ -167,5 +167,6 @@ def json_rows(table: ComparisonTable) -> list[dict[str, object]]:
 
 def render_json(table: ComparisonTable) -> str:
     """JSON object with the column ids and the rows, 2-space indent."""
+    import json
     payload = {"columns": list(table.columns), "rows": json_rows(table)}
     return json.dumps(payload, indent=2) + "\n"

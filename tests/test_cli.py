@@ -1,6 +1,10 @@
 """End-to-end tests of the command line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +208,42 @@ class TestCompare:
         assert out == ""
         assert "'Germano'" in err and "'Moin'" in err
 
+    @staticmethod
+    def named_file(directory, name):
+        aggregate = {"n_papers": 1, "total_citations": 1}
+        text = json.dumps({"name": name, "aggregate": aggregate})
+        (directory / "x.json").write_text(text, encoding="utf-8")
+
+    def test_markdown_backslash_pipe_name_keeps_six_cells(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        self.named_file(tmp_path, "a\\|b")
+        assert main(["compare", "./x.json"]) == 0
+        out, _ = capsys.readouterr()
+        # GFM: \\ is a literal backslash and \| a literal pipe
+        assert out.splitlines()[2] == "| a\\\\\\|b | 1 | 1 | 1 | - | 1 |"
+
+    def test_newline_in_json_name_is_an_input_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        self.named_file(tmp_path, "Ann\nSmith")
+        assert main(["compare", "./x.json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("bibdex: error: ./x.json: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("stem", ["a\x01b", "   "])
+    def test_unusable_csv_file_name_is_an_input_error(self, tmp_path, capsys, stem):
+        path = tmp_path / f"{stem}.csv"
+        write_csv(path, [1])
+        assert main(["compute", "-i", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("bibdex: error: ")
+
     def test_sort_descending(self, ctr_store, capsys):
         code = main(
             ["compare", "--store", str(ctr_store.root), "--sort", "hm", "--desc"]
@@ -363,3 +403,35 @@ class TestArgumentErrors:
         assert main(["--help"]) == 0
         out, _ = capsys.readouterr()
         assert "compute" in out and "validate" in out
+
+
+# Run with -S: a site-packages .pth file may import modules (tempfile, typing)
+# before bibdex does, which would hide a module that bibdex starts importing.
+IMPORT_PROBE = """
+import io, sys
+before = set(sys.modules)
+import bibdex.cli
+print(*sorted(set(sys.modules) - before))
+out, sys.stdout = sys.stdout, io.StringIO()
+for extra in ([], ["--format", "json"]):
+    bibdex.cli.main(["demo", "--cohort", "ctr", *extra])
+    print(*sorted(set(sys.modules) - before), file=out)
+"""
+
+
+def test_import_budget():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PROBE],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    on_import, after_md, after_json = map(set, map(str.split, proc.stdout.splitlines()))
+    unused = {"dataclasses", "inspect", "typing", "json", "csv", "tempfile"}
+    assert "bibdex.cli" in on_import
+    assert not on_import & unused
+    assert not after_md & {"json", "csv"}
+    assert "json" in after_json

@@ -178,6 +178,19 @@ class TestProfileJson:
         with pytest.raises(ProfileSchemaError):
             parse_profile_json('{"name":"","papers":[]}')
 
+    @pytest.mark.parametrize(
+        "name", ["Ann\nSmith", "a\tb", "\x00", "x\x1f", " ", "\t", "\u3000 "]
+    )
+    def test_control_or_blank_name_rejected(self, name):
+        text = json.dumps({"name": name, "papers": []})
+        with pytest.raises(ProfileValueError, match="name"):
+            parse_profile_json(text)
+
+    @pytest.mark.parametrize("name", ["a\\|b", " a ", "\x7f", "Ann Smith"])
+    def test_printable_name_accepted(self, name):
+        text = json.dumps({"name": name, "papers": []})
+        assert parse_profile_json(text).name == name
+
     def test_not_an_object(self):
         with pytest.raises(ProfileSchemaError):
             parse_profile_json("[1,2,3]")

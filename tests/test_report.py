@@ -310,6 +310,14 @@ class TestRenderMarkdown:
         text = render_markdown(compare([AuthorProfile("a|b", AggregateData(1, 1))]))
         assert "a\\|b" in text
 
+    @pytest.mark.parametrize(
+        "name, cell",
+        [("a\\b", "a\\\\b"), ("a\\|b", "a\\\\\\|b"), ("|\\", "\\|\\\\")],
+    )
+    def test_backslash_in_name_escaped(self, name, cell):
+        text = render_markdown(compare([AuthorProfile(name, AggregateData(1, 1))]))
+        assert text.splitlines()[2] == f"| {cell} | 1 | 1 | 1 | - | 1 |"
+
 
 class TestRenderCsv:
     def test_ctr_table(self):
