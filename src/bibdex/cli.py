@@ -88,9 +88,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     profile = _resolve(args.input, _store(args), args.kind)
     table = tables.compare([profile])
     if args.format == "json":
-        import json
         # one author: its row alone, without the table around it
-        print(json.dumps(tables.json_rows(table)[0], indent=2))
+        print(tables.json_rows(table)[0])
     else:
         _emit_table(table, args.format)
     return EXIT_OK

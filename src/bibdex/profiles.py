@@ -190,6 +190,10 @@ def _check_name(name: str) -> str:
         raise ProfileValueError(
             f"name has a control character or is all whitespace: {name!r}"
         )
+    try:
+        name.encode()  # fails exactly on surrogates, U+D800-U+DFFF
+    except UnicodeEncodeError:
+        raise ProfileValueError(f"name is not valid Unicode text: {name!r}") from None
     return name
 
 
@@ -287,28 +291,37 @@ def parse_profile_json(text: str | bytes) -> AuthorProfile:
     return AuthorProfile(name=name, data=data, snapshot_date=snapshot)
 
 
+def _indented(items: list[str], level: int, brackets: str = "[]") -> str:
+    """JSON texts laid out as ``json.dumps(indent=2)`` lays out a container
+    nested ``level`` deep; with ``"{}"`` each item is ``'"key": value'``."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * level}{brackets[1]}"
+
+
 def serialize_profile(profile: AuthorProfile) -> str:
     """Inverse of parse_profile_json. Paper ids are synthesized as p1..pN."""
     import json
     if not profile.name:
         raise ProfileValueError("cannot serialize a profile with an empty name")
-    obj: dict[str, object] = {"name": profile.name}
+    fields = [f'"name": {json.dumps(profile.name)}']
     if profile.snapshot_date is not None:
-        obj["snapshot_date"] = profile.snapshot_date.isoformat()
-    if isinstance(profile.data, FullData):
-        obj["papers"] = [
-            {"id": f"p{i}", "citations": c}
-            for i, c in enumerate(profile.data.vector, start=1)
-        ]
+        fields.append(f'"snapshot_date": "{profile.snapshot_date.isoformat()}"')
+    data = profile.data
+    if isinstance(data, FullData):
+        paper = _indented(['"id": "p%d"', '"citations": %d'], 2, "{}")
+        papers = [paper % pair for pair in enumerate(data.vector, start=1)]
+        fields.append(f'"papers": {_indented(papers, 1)}')
     else:
-        aggregate: dict[str, int] = {
-            "n_papers": profile.data.n_papers,
-            "total_citations": profile.data.total_citations,
-        }
-        if profile.data.reported_h is not None:
-            aggregate["reported_h"] = profile.data.reported_h
-        obj["aggregate"] = aggregate
-    return json.dumps(obj, indent=2) + "\n"
+        aggregate = [
+            f'"n_papers": {data.n_papers:d}',
+            f'"total_citations": {data.total_citations:d}',
+        ]
+        if data.reported_h is not None:
+            aggregate.append(f'"reported_h": {data.reported_h:d}')
+        fields.append(f'"aggregate": {_indented(aggregate, 1, "{}")}')
+    return _indented(fields, 0, "{}") + "\n"
 
 
 def load_builtin_cohort(cohort: Cohort | str) -> list[AuthorProfile]:
@@ -406,8 +419,12 @@ class ProfileStore:
 
     def names(self) -> list[str]:
         """Names of every stored profile, sorted."""
-        if not self.root.is_dir():
+        try:
+            entries = os.listdir(self.root)
+        except OSError:  # missing, not a directory, or unreadable
             return []
         return sorted(
-            p.stem for p in self.root.glob("*.json") if _STORE_NAME_RE.match(p.stem)
+            stem
+            for entry in entries
+            if entry.endswith(".json") and _STORE_NAME_RE.match(stem := entry[:-5])
         )

@@ -15,6 +15,7 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .metrics import AuthorProfile, HSource, IndexReport, _Record, _set, full_report
+from .profiles import _indented
 
 __all__ = [
     "COLUMNS",
@@ -153,20 +154,27 @@ def fraction_str(value: Fraction) -> str:
     return str(_JSON_DECIMALS.divide(num, den))
 
 
-def _json_value(value: object) -> object:
-    if type(value) is Fraction:  # isinstance() would go through ABCMeta
-        return fraction_str(value)
-    return value.value if isinstance(value, HSource) else value
-
-
-def json_rows(table: ComparisonTable) -> list[dict[str, object]]:
-    """One object per row holding its columns' JSON fields, in column order."""
+def json_rows(table: ComparisonTable, level: int = 0) -> list[str]:
+    """One JSON object per row holding its columns' JSON fields, in column
+    order, laid out nested ``level`` deep; Fractions become decimal strings."""
+    import json
     fields = [(f, _GET[f]) for c in table.columns for f in _COLUMNS[c].json]
-    return [{f: _json_value(get(row)) for f, get in fields} for row in table.rows]
+    template = _indented([f'"{f}": %s' for f, _ in fields], level, "{}")
+
+    def text(value: object) -> str:
+        if type(value) is int:
+            return str(value)
+        if value is None:
+            return "null"
+        if type(value) is Fraction:  # isinstance() would go through ABCMeta
+            return f'"{fraction_str(value)}"'
+        return json.dumps(value.value if isinstance(value, HSource) else value)
+
+    return [template % tuple([text(get(row)) for _, get in fields]) for row in table.rows]
 
 
 def render_json(table: ComparisonTable) -> str:
     """JSON object with the column ids and the rows, 2-space indent."""
-    import json
-    payload = {"columns": list(table.columns), "rows": json_rows(table)}
-    return json.dumps(payload, indent=2) + "\n"
+    columns = _indented([f'"{c}"' for c in table.columns], 1)
+    rows = _indented(json_rows(table, level=2), 1)
+    return _indented([f'"columns": {columns}', f'"rows": {rows}'], 0, "{}") + "\n"

@@ -235,6 +235,31 @@ class TestCompare:
         assert err.startswith("bibdex: error: ./x.json: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    def test_surrogate_in_json_name_is_an_input_error(
+        self, tmp_path, capsys, monkeypatch, fmt
+    ):
+        monkeypatch.chdir(tmp_path)
+        self.named_file(tmp_path, "\ud800x")
+        assert main(["compare", "./x.json", "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "bibdex: error: ./x.json: name is not valid Unicode text: '\\ud800x'\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    def test_undecodable_csv_file_name_is_an_input_error(self, tmp_path, capsys, fmt):
+        # the stem of b"\xff\xfe.csv" decodes to "\udcff\udcfe"
+        path = os.fsdecode(os.path.join(os.fsencode(tmp_path), b"\xff\xfe.csv"))
+        write_csv(Path(path), [1])
+        assert main(["compute", "-i", path, "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "bibdex: error: name is not valid Unicode text: '\\udcff\\udcfe'\n"
+        )
+
     @pytest.mark.parametrize("stem", ["a\x01b", "   "])
     def test_unusable_csv_file_name_is_an_input_error(self, tmp_path, capsys, stem):
         path = tmp_path / f"{stem}.csv"

@@ -1,6 +1,7 @@
 """Tests for parsing, the bundled cohorts, and the profile store."""
 
 import json
+import os
 from datetime import date
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibdex import (
+    MAX_FIELD_VALUE,
     AggregateData,
     AuthorProfile,
     CitationVector,
@@ -21,12 +23,14 @@ from bibdex import (
     ProfileSchemaError,
     ProfileStore,
     ProfileValueError,
+    StoreError,
     UnknownCohortError,
     load_builtin_cohort,
     parse_citation_csv,
     parse_profile_json,
     serialize_profile,
 )
+from bibdex.profiles import _STORE_NAME_RE, _check_name
 
 profile_names = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-",
@@ -290,7 +294,89 @@ class TestProfileJson:
         assert isinstance(result, AuthorProfile)
 
 
+# any text: quotes, backslashes, C0 controls, astral characters, lone surrogates
+any_names = st.text(
+    st.sampled_from('"\\\x00\x1f\n\t ') | st.characters(exclude_categories=()),
+    min_size=1,
+)
+
+
+@st.composite
+def any_profiles(draw):
+    snapshot = draw(st.none() | st.dates())
+    if draw(st.booleans()):
+        vector = draw(st.lists(st.integers(0, MAX_FIELD_VALUE), max_size=12))
+        data = FullData(CitationVector(tuple(vector)))
+    else:
+        n, t = draw(st.integers(0, MAX_FIELD_VALUE)), draw(st.integers(0, MAX_FIELD_VALUE))
+        reported = draw(st.none() | st.integers(0, MAX_FIELD_VALUE))
+        data = AggregateData(n, t, reported_h=reported)
+    return AuthorProfile(draw(any_names), data, snapshot)
+
+
+def oracle_serialize(profile):
+    """The store's file layout as the standard library writes it."""
+    obj = {"name": profile.name}
+    if profile.snapshot_date is not None:
+        obj["snapshot_date"] = profile.snapshot_date.isoformat()
+    data = profile.data
+    if isinstance(data, FullData):
+        obj["papers"] = [
+            {"id": f"p{i}", "citations": c} for i, c in enumerate(data.vector, 1)
+        ]
+    else:
+        obj["aggregate"] = {"n_papers": data.n_papers, "total_citations": data.total_citations}
+        if data.reported_h is not None:
+            obj["aggregate"]["reported_h"] = data.reported_h
+    return json.dumps(obj, indent=2) + "\n"
+
+
 class TestSerializeProfile:
+    @given(any_profiles())
+    @settings(max_examples=300)
+    def test_bytes_match_json_dumps(self, profile):
+        assert serialize_profile(profile) == oracle_serialize(profile)
+
+    @given(any_profiles())
+    @settings(max_examples=300)
+    def test_parses_back_when_the_name_is_accepted(self, profile):
+        text = serialize_profile(profile)
+        try:
+            _check_name(profile.name)
+        except ProfileValueError:
+            with pytest.raises(ProfileValueError):
+                parse_profile_json(text)
+        else:
+            assert parse_profile_json(text) == profile
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            AuthorProfile("e", FullData(CitationVector(()))),
+            AuthorProfile("a", AggregateData(0, 0), date(1, 1, 1)),
+            AuthorProfile('"\\\ud800\U0001f600', AggregateData(1, 2, reported_h=0)),
+            AuthorProfile("m", FullData(CitationVector((MAX_FIELD_VALUE, 0)))),
+        ],
+        ids=["no-papers", "no-reported-h", "escapes", "max-count"],
+    )
+    def test_edge_bytes_match_json_dumps(self, profile):
+        assert serialize_profile(profile) == oracle_serialize(profile)
+
+    def test_layout(self):
+        profile = AuthorProfile("A", AggregateData(3, 9, reported_h=1), date(2020, 9, 30))
+        assert serialize_profile(profile) == (
+            '{\n  "name": "A",\n  "snapshot_date": "2020-09-30",\n'
+            '  "aggregate": {\n    "n_papers": 3,\n    "total_citations": 9,\n'
+            '    "reported_h": 1\n  }\n}\n'
+        )
+        vector = FullData(CitationVector((4,)))
+        assert serialize_profile(AuthorProfile("B", vector)) == (
+            '{\n  "name": "B",\n  "papers": [\n    {\n      "id": "p1",\n'
+            '      "citations": 4\n    }\n  ]\n}\n'
+        )
+        empty = AuthorProfile("C", FullData(CitationVector(())))
+        assert serialize_profile(empty) == '{\n  "name": "C",\n  "papers": []\n}\n'
+
     def test_empty_name_rejected(self):
         with pytest.raises(ProfileValueError):
             serialize_profile(AuthorProfile("", AggregateData(0, 0)))
@@ -401,6 +487,46 @@ class TestProfileStore:
         store = ProfileStore(tmp_path / "nested" / "dir")
         store.save(AuthorProfile("A", AggregateData(1, 1)))
         assert store.load("A").name == "A"
+
+    @staticmethod
+    def glob_names(root):
+        return sorted(p.stem for p in root.glob("*.json") if _STORE_NAME_RE.match(p.stem))
+
+    def test_names_match_glob(self, tmp_path):
+        for name in ["b.json", "a-1_Z.json", ".x.123.tmp", ".json", "a.b.json",
+                     "A.JSON", "..json", "c.json.tmp", "nojson"]:
+            (tmp_path / name).write_text("{}", encoding="utf-8")
+        (tmp_path / "x.json").mkdir()
+        (tmp_path / "ghost.json").symlink_to(tmp_path / "absent")
+        names = ProfileStore(tmp_path).names()
+        assert names == ["a-1_Z", "b", "ghost", "x"]
+        assert names == self.glob_names(tmp_path)
+
+    def test_names_of_missing_or_file_root(self, tmp_path):
+        missing, file_root = tmp_path / "missing", tmp_path / "file.json"
+        file_root.write_text("{}", encoding="utf-8")
+        for root in (missing, file_root):
+            assert ProfileStore(root).names() == [] == self.glob_names(root)
+
+    @pytest.mark.parametrize(
+        "error", [OSError("disk full"), KeyboardInterrupt()], ids=["OSError", "interrupt"]
+    )
+    def test_failed_replace_leaves_old_file(self, tmp_path, monkeypatch, error):
+        store = ProfileStore(tmp_path)
+        path = store.save(AuthorProfile("A", AggregateData(1, 1)))
+        before = path.read_bytes()
+
+        def replace(src, dst):
+            raise error
+
+        monkeypatch.setattr(os, "replace", replace)
+        raised = StoreError if isinstance(error, OSError) else KeyboardInterrupt
+        with pytest.raises(raised) as info:
+            store.save(AuthorProfile("A", AggregateData(2, 2)))
+        if raised is StoreError:
+            assert str(info.value) == f"cannot write {path}: disk full"
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["A.json"]
 
     def test_names_listing(self, tmp_path):
         store = ProfileStore(tmp_path)

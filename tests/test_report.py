@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 from fractions import Fraction
 from operator import itemgetter
@@ -13,18 +14,22 @@ from hypothesis import strategies as st
 from bibdex import (
     MAX_FIELD_VALUE,
     AggregateData,
+    COLUMNS,
     AuthorProfile,
     CitationVector,
+    ComparisonTable,
     FullData,
     HSource,
     InconsistentAggregateError,
     IndexReport,
+    TableRow,
     compare,
     full_report,
     load_builtin_cohort,
     render_csv,
     render_markdown,
 )
+from bibdex.report import fraction_str, json_rows, render_json
 
 GERMANO = AuthorProfile("Germano", AggregateData(37, 6235, reported_h=9))
 
@@ -342,6 +347,90 @@ class TestRenderCsv:
         rows = list(csv.reader(io.StringIO(text)))
         assert len(rows) == 2
         assert rows[1][0] == "Doe, J"
+
+
+# the JSON fields of each column, in output order
+JSON_FIELDS = {
+    "name": ("name",),
+    "n_papers": ("n_papers",),
+    "total_citations": ("total_citations",),
+    "citations_per_paper": ("citations_per_paper", "citations_per_paper_display"),
+    "h": ("h", "h_source"),
+    "hm": ("hm_exact", "hm_display"),
+}
+
+
+def oracle_row(row, columns):
+    """One row as a dict, each value as the JSON output must carry it."""
+    out = {}
+    for field in (f for c in columns for f in JSON_FIELDS[c]):
+        value = row.name if field == "name" else getattr(row.report, field)
+        if isinstance(value, Fraction):
+            value = fraction_str(value)
+        elif isinstance(value, HSource):
+            value = value.value
+        out[field] = value
+    return out
+
+
+fractions_ = st.fractions(min_value=0, max_value=2**40) | st.builds(
+    lambda n, d: Fraction(n, d), st.integers(0, 9), st.integers(1, 2**62)
+)
+
+
+@st.composite
+def table_rows(draw):
+    h = draw(st.none() | st.integers(0, M))
+    report = IndexReport(
+        n_papers=draw(st.integers(0, M)),
+        total_citations=draw(st.integers(0, M)),
+        citations_per_paper=draw(fractions_),
+        citations_per_paper_display=draw(st.integers(0, M)),
+        h=h,
+        h_source=None if h is None else draw(st.sampled_from(HSource)),
+        hm_exact=draw(fractions_),
+        hm_display=draw(st.integers(0, M)),
+    )
+    return TableRow(draw(st.text(st.characters(exclude_categories=()))), report)
+
+
+tables = st.builds(
+    lambda columns, size, rows: ComparisonTable(tuple(columns[:size]), tuple(rows)),
+    st.permutations(COLUMNS),
+    st.integers(0, len(COLUMNS)),
+    st.lists(table_rows(), max_size=4),
+)
+
+
+class TestRenderJson:
+    def test_fraction_str_scientific_form(self):
+        # aggregates with far more papers than citations reach this form
+        assert fraction_str(Fraction(1, 2**31 - 1)) == "4.65661287525E-10"
+        assert fraction_str(Fraction(1, 10**6)) == "0.000001"
+        assert fraction_str(Fraction(1, 10**7)) == "1E-7"
+
+    @given(tables)
+    @settings(max_examples=300)
+    def test_bytes_match_json_dumps(self, table):
+        rows = [oracle_row(row, table.columns) for row in table.rows]
+        payload = {"columns": list(table.columns), "rows": rows}
+        assert render_json(table) == json.dumps(payload, indent=2) + "\n"
+        assert json_rows(table) == [json.dumps(row, indent=2) for row in rows]
+
+    def test_ctr_row_bytes(self):
+        (row,) = json_rows(compare([GERMANO]))
+        assert row == (
+            '{\n  "name": "Germano",\n  "n_papers": 37,\n  "total_citations": 6235,\n'
+            '  "citations_per_paper": "168.513513514",\n'
+            '  "citations_per_paper_display": 168,\n  "h": 9,\n'
+            '  "h_source": "reported",\n  "hm_exact": "30.3386375592",\n'
+            '  "hm_display": 30\n}'
+        )
+
+    def test_zero_rows(self):
+        assert render_json(compare([], columns=("h", "name"))) == (
+            '{\n  "columns": [\n    "h",\n    "name"\n  ],\n  "rows": []\n}\n'
+        )
 
 
 class TestDeterminism:
