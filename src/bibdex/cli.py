@@ -14,8 +14,6 @@ Exit codes: 0 success, 1 input or parse error, 2 validation failure.
 Payload goes to stdout, every diagnostic to stderr.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys
@@ -27,6 +25,7 @@ from .profiles import (
     Cohort,
     ProfileError,
     ProfileStore,
+    ProfileValueError,
     _check_name,
     load_builtin_cohort,
     parse_citation_csv,
@@ -68,19 +67,20 @@ def _store(args: argparse.Namespace) -> ProfileStore:
 def _resolve(raw: str, store: ProfileStore, kind: str | None = None) -> AuthorProfile:
     """Load one input, a file or a stored profile, by the module docstring's rule.
 
-    A file's kind is ``kind`` if given, else json for a .json suffix and
-    csv for anything else.
+    A file's kind is ``kind`` if given, else json for an argument ending in
+    .json and csv for anything else.
     """
+    if kind is None:
+        if not raw.lower().endswith(FILE_SUFFIXES) and os.sep not in raw:
+            return store.load(raw)
+        kind = "json" if raw.lower().endswith(".json") else "csv"
     path = Path(raw)
-    suffix = path.suffix.lower()
-    if kind is None and suffix not in FILE_SUFFIXES and os.sep not in raw:
-        return store.load(raw)
     data = path.read_bytes()
-    if kind == "json" or (kind is None and suffix == ".json"):
+    if kind == "json":
         return parse_profile_json(data)
     # a bare citation list has no author name; the file name stands in
     return AuthorProfile(
-        name=_check_name(path.stem or "input"), data=FullData(parse_citation_csv(data))
+        name=_check_name(path.stem), data=FullData(parse_citation_csv(data))
     )
 
 
@@ -123,12 +123,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     profile = _resolve(args.input, _store(args))
     data = profile.data
     if not isinstance(data, AggregateData) or data.reported_h is None:
-        print(
-            f"bibdex: error: profile {profile.name!r} carries no reported h; "
-            "nothing to validate",
-            file=sys.stderr,
+        raise ProfileValueError(
+            f"profile {profile.name!r} carries no reported h; nothing to validate"
         )
-        return EXIT_INPUT_ERROR
     result = consistency_check(data.n_papers, data.total_citations, data.reported_h)
     if args.format == "json":
         import json

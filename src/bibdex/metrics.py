@@ -10,8 +10,6 @@ All functions here are pure and all values immutable, so everything is
 safe to share across threads.
 """
 
-from __future__ import annotations
-
 from datetime import date
 from enum import Enum
 from fractions import Fraction

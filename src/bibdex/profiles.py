@@ -15,8 +15,6 @@ root directory and writes atomically (temp file, then rename), so
 concurrent readers never see a torn file and the last writer wins.
 """
 
-from __future__ import annotations
-
 import os
 import re
 from datetime import date
@@ -53,9 +51,9 @@ __all__ = [
 
 CSV_HEADER = "paper_id,citations"
 
-_PROFILE_KEYS = {"name", "snapshot_date", "papers", "aggregate"}
+_PROFILE_KEYS = ("name", "snapshot_date", "papers", "aggregate")
 _PAPER_KEYS = {"id", "citations"}
-_AGGREGATE_KEYS = {"n_papers", "total_citations", "reported_h"}
+_AGGREGATE_KEYS = ("reported_h", "n_papers", "total_citations")  # in check order
 _DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}\Z")
 _STORE_NAME_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
 _C0_RE = re.compile(r"[\x00-\x1f]")  # a line break or tab would break a table row
@@ -204,6 +202,12 @@ def _require_int(value: object, label: str) -> int:
         raise ProfileValueError(str(exc)) from None
 
 
+def _check_keys(raw: dict, allowed: tuple[str, ...], where: str) -> None:
+    unknown = raw.keys() - allowed
+    if unknown:
+        raise ProfileSchemaError(f"unknown {where}: {', '.join(sorted(unknown))}")
+
+
 def _parse_snapshot_date(raw: object) -> date:
     if not isinstance(raw, str) or not _DATE_RE.match(raw):
         raise ProfileValueError(
@@ -222,7 +226,7 @@ def _parse_papers(raw: object) -> FullData:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ProfileSchemaError(f"papers[{i}] must be an object")
-        if set(entry) != _PAPER_KEYS:
+        if entry.keys() != _PAPER_KEYS:
             raise ProfileSchemaError(
                 f"papers[{i}] must have exactly the keys 'id' and 'citations'"
             )
@@ -237,26 +241,16 @@ def _parse_papers(raw: object) -> FullData:
 def _parse_aggregate(raw: object) -> AggregateData:
     if not isinstance(raw, dict):
         raise ProfileSchemaError("'aggregate' must be an object")
-    unknown = set(raw) - _AGGREGATE_KEYS
-    if unknown:
-        raise ProfileSchemaError(
-            f"unknown aggregate keys: {', '.join(sorted(unknown))}"
-        )
-    missing = {"n_papers", "total_citations"} - set(raw)
+    _check_keys(raw, _AGGREGATE_KEYS, "aggregate keys")
+    missing = {"n_papers", "total_citations"} - raw.keys()
     if missing:
         raise ProfileSchemaError(
             f"aggregate requires keys: {', '.join(sorted(missing))}"
         )
-    reported_h = None
-    if "reported_h" in raw:
-        reported_h = _require_int(raw["reported_h"], "aggregate.reported_h")
-    return AggregateData(
-        n_papers=_require_int(raw["n_papers"], "aggregate.n_papers"),
-        total_citations=_require_int(
-            raw["total_citations"], "aggregate.total_citations"
-        ),
-        reported_h=reported_h,
-    )
+    for key in _AGGREGATE_KEYS:
+        if key in raw:
+            _require_int(raw[key], f"aggregate.{key}")
+    return AggregateData(raw["n_papers"], raw["total_citations"], raw.get("reported_h"))
 
 
 def parse_profile_json(text: str | bytes) -> AuthorProfile:
@@ -269,9 +263,7 @@ def parse_profile_json(text: str | bytes) -> AuthorProfile:
         raise ProfileSchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ProfileSchemaError("profile must be a JSON object")
-    unknown = set(obj) - _PROFILE_KEYS
-    if unknown:
-        raise ProfileSchemaError(f"unknown keys: {', '.join(sorted(unknown))}")
+    _check_keys(obj, _PROFILE_KEYS, "keys")
     name = obj.get("name")
     if not isinstance(name, str) or not name:
         raise ProfileSchemaError("'name' is required and must be a non-empty string")

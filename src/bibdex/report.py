@@ -6,8 +6,6 @@ to identical bytes. JSON also carries the exact rationals, as decimal
 strings.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Sequence
 from decimal import Context, Decimal

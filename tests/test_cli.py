@@ -299,6 +299,57 @@ class TestCompare:
         assert row["hm_display"] == 51
 
 
+class TestResolve:
+    """An argument is a file or a stored name by its text alone."""
+
+    MOIN = AuthorProfile("Moin", AggregateData(288, 38042, reported_h=86))
+    MOIN_ROW = "| Moin | 288 | 38042 | 132 | 86 | 91 |"
+
+    @pytest.mark.parametrize("arg", [".json", "./.json", ".JSON"])
+    def test_bare_json_ending_is_a_profile_file(
+        self, tmp_path, capsys, monkeypatch, arg
+    ):
+        monkeypatch.chdir(tmp_path)
+        write_profile(tmp_path / arg, self.MOIN)
+        assert main(["compare", "--store", "store", arg]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[2:] == [self.MOIN_ROW]
+
+    @pytest.mark.parametrize(
+        "argv", [["compute", "-i", ".CSV"], ["compare", ".csv"], ["compare", "d/.csv"]]
+    )
+    def test_bare_csv_ending_is_a_citation_file(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        write_csv(tmp_path / argv[-1], [5, 4, 3, 2, 1])
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        name = os.path.basename(argv[-1])
+        assert out.splitlines()[2:] == [f"| {name} | 5 | 15 | 3 | 3 | 2 |"]
+
+    def test_files_and_stored_names_as_before(
+        self, ctr_store, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        write_profile(tmp_path / "x.JSON", self.MOIN)
+        (tmp_path / "d").mkdir()
+        write_csv(tmp_path / "d" / "x.csv", [5, 4, 3, 2, 1])
+        (tmp_path / "Germano").write_text("not a profile", encoding="utf-8")
+        store = str(ctr_store.root)
+        assert main(["compare", "--store", store, "x.JSON", "d/x.csv", "Germano"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[2:] == [
+            self.MOIN_ROW,
+            "| x | 5 | 15 | 3 | 3 | 2 |",
+            "| Germano | 37 | 6235 | 168 | 9 | 30 |",
+        ]
+
+
 class TestDemo:
     def test_researchers_markdown(self, capsys):
         assert main(["demo", "--cohort", "researchers"]) == 0
@@ -394,7 +445,17 @@ class TestValidate:
         assert main(["validate", "-i", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert "nothing to validate" in err
+        assert err == (
+            "bibdex: error: profile 'X' carries no reported h; nothing to validate\n"
+        )
+
+    def test_aggregate_without_h_has_nothing_to_validate(self, tmp_path, capsys):
+        path = self.aggregate_file(tmp_path, 3, 9, None)
+        assert main(["validate", "-i", path]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "bibdex: error: profile 'P' carries no reported h; nothing to validate\n",
+        )
 
     def test_parse_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -455,7 +516,9 @@ def test_import_budget():
         check=True,
     )
     on_import, after_md, after_json = map(set, map(str.split, proc.stdout.splitlines()))
-    unused = {"dataclasses", "inspect", "typing", "json", "csv", "tempfile"}
+    unused = {
+        "__future__", "dataclasses", "inspect", "typing", "json", "csv", "tempfile"
+    }
     assert "bibdex.cli" in on_import
     assert not on_import & unused
     assert not after_md & {"json", "csv"}

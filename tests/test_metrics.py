@@ -275,6 +275,11 @@ class TestFullReport:
         assert rep.h is None
         assert rep.h_source is None
 
+    def test_unsupported_data_is_a_type_error(self):
+        with pytest.raises(TypeError) as info:
+            full_report(AuthorProfile("X", (3, 1)))
+        assert str(info.value) == "unsupported profile data: tuple"
+
     def test_inconsistent_aggregate(self):
         with pytest.raises(InconsistentAggregateError, match="Ghost"):
             full_report(AuthorProfile("Ghost", AggregateData(0, 7)))

@@ -130,6 +130,12 @@ class TestCitationCsv:
         with pytest.raises(CsvFormatError):
             parse_citation_csv("paper_id,citations\r\np1,5\r\n")
 
+    def test_crlf_row_after_lf_header(self):
+        with pytest.raises(CsvFormatError) as info:
+            parse_citation_csv("paper_id,citations\np1,5\r\n")
+        assert info.value.line == 2
+        assert str(info.value) == "line 2: CRLF line endings are not supported"
+
     def test_invalid_utf8(self):
         with pytest.raises(CsvFormatError):
             parse_citation_csv(b"\xff\xfe\x00")
@@ -251,6 +257,80 @@ class TestProfileJson:
         text = '{"name":"X","papers":[%s,{"id":"c","citations":%s}]}' % (papers, raw)
         with pytest.raises(ProfileValueError) as info:
             parse_profile_json(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "body, error, message",
+        [
+            ('"papers":{}', ProfileSchemaError, "'papers' must be an array"),
+            ('"papers":[1]', ProfileSchemaError, "papers[0] must be an object"),
+            (
+                '"papers":[{"id":"a"}]',
+                ProfileSchemaError,
+                "papers[0] must have exactly the keys 'id' and 'citations'",
+            ),
+            (
+                '"papers":[{"id":"a","citations":1,"x":0}]',
+                ProfileSchemaError,
+                "papers[0] must have exactly the keys 'id' and 'citations'",
+            ),
+            (
+                '"papers":[{"id":1,"citations":0}]',
+                ProfileValueError,
+                "papers[0].id must be a string",
+            ),
+            ('"papers":[],"zz":1,"aa":2', ProfileSchemaError, "unknown keys: aa, zz"),
+            ('"aggregate":[]', ProfileSchemaError, "'aggregate' must be an object"),
+            (
+                '"aggregate":{"zz":1,"n_papers":1,"total_citations":0,"aa":2}',
+                ProfileSchemaError,
+                "unknown aggregate keys: aa, zz",
+            ),
+            (
+                '"aggregate":{"reported_h":1}',
+                ProfileSchemaError,
+                "aggregate requires keys: n_papers, total_citations",
+            ),
+            (
+                '"aggregate":{"n_papers":1,"total_citations":0,"reported_h":null}',
+                ProfileValueError,
+                "aggregate.reported_h must be an integer, got None",
+            ),
+            (
+                '"aggregate":{"n_papers":-1,"total_citations":0,"reported_h":true}',
+                ProfileValueError,
+                "aggregate.reported_h must be an integer, got True",
+            ),
+            (
+                '"aggregate":{"n_papers":-1,"total_citations":1.5}',
+                ProfileValueError,
+                "aggregate.n_papers must be >= 0, got -1",
+            ),
+            (
+                '"aggregate":{"n_papers":1,"total_citations":2147483648}',
+                ProfileValueError,
+                "aggregate.total_citations must be <= 2147483647, got 2147483648",
+            ),
+        ],
+        ids=[
+            "papers-not-array",
+            "paper-not-object",
+            "paper-missing-key",
+            "paper-extra-key",
+            "paper-id-not-string",
+            "unknown-keys",
+            "aggregate-not-object",
+            "unknown-aggregate-keys",
+            "aggregate-missing-keys",
+            "reported-h-null",
+            "aggregate-bad-reported-h-first",
+            "aggregate-bad-n-papers-before-total",
+            "aggregate-total-over-max",
+        ],
+    )
+    def test_rejection_message(self, body, error, message):
+        with pytest.raises(error) as info:
+            parse_profile_json('{"name":"X",%s}' % body)
         assert str(info.value) == message
 
     def test_negative_aggregate(self):
@@ -470,6 +550,14 @@ class TestProfileStore:
         message = str(info.value)
         assert str(path) in message
         assert "'Germano'" in message and "'Moin'" in message
+
+    def test_load_of_a_directory_is_a_store_error(self, tmp_path):
+        (tmp_path / "D.json").mkdir()
+        with pytest.raises(StoreError) as info:
+            ProfileStore(tmp_path).load("D")
+        path = str(tmp_path / "D.json")
+        assert str(info.value).startswith(f"cannot read {path}: ")
+        assert isinstance(info.value.__cause__, IsADirectoryError)
 
     def test_load_truncated_file(self, tmp_path):
         store = ProfileStore(tmp_path)

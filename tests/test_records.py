@@ -179,3 +179,25 @@ def test_vector_counts_become_a_tuple():
     vector = CitationVector([2, 1])
     assert vector.counts == (2, 1)
     assert vector == CitationVector((2, 1))
+
+
+@pytest.mark.parametrize(
+    "h, source", [(39, None), (None, HSource.REPORTED)], ids=["no-source", "no-h"]
+)
+def test_report_h_and_source_come_together(h, source):
+    fields = {f: getattr(PIOMELLI, f) for f in IndexReport.__slots__}
+    fields.update(h=h, h_source=source)
+    with pytest.raises(ValueError) as info:
+        IndexReport(**fields)
+    assert str(info.value) == "h and h_source must be both present or both absent"
+
+
+@pytest.mark.parametrize(
+    "passed, violations",
+    [(True, (Violation("r", "m"),)), (False, ())],
+    ids=["passed-with-violation", "failed-without"],
+)
+def test_result_passes_exactly_without_violations(passed, violations):
+    with pytest.raises(ValueError) as info:
+        ValidationResult(passed, violations)
+    assert str(info.value) == "passed must mirror an empty violation list"
