@@ -50,14 +50,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+_RENDERERS = {"md": "render_markdown", "csv": "render_csv", "json": "render_json"}
+
+
 def _emit_table(table: tables.ComparisonTable, fmt: str) -> None:
     # looked up per call: the traced benchmark run swaps the renderers' attributes
-    if fmt == "md":
-        sys.stdout.write(tables.render_markdown(table))
-    elif fmt == "csv":
-        sys.stdout.write(tables.render_csv(table))
-    else:
-        sys.stdout.write(tables.render_json(table))
+    sys.stdout.write(getattr(tables, _RENDERERS[fmt])(table))
 
 
 def _store(args: argparse.Namespace) -> ProfileStore:
@@ -187,9 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo", help="render a bundled demo cohort")
     # cohort is validated by hand so a bad id exits 1, not argparse's 2
     demo.add_argument(
-        "--cohort",
-        required=True,
-        help=f"one of: {', '.join(c.value for c in Cohort)}",
+        "--cohort", required=True, help=f"one of: {', '.join(c.value for c in Cohort)}"
     )
     demo.add_argument("--format", choices=FORMATS, default="md")
     demo.set_defaults(handler=cmd_demo)

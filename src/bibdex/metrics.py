@@ -12,7 +12,6 @@ safe to share across threads.
 
 from datetime import date
 from enum import Enum
-from fractions import Fraction
 
 __all__ = [
     "MAX_FIELD_VALUE",
@@ -67,13 +66,24 @@ def _check_count(value: int, label: str) -> int:
 
 
 class _Record:
-    """Immutable record compared, hashed and printed by the fields in ``__slots__``,
-    which each subclass's ``__init__`` sets through ``_set``."""
+    """Immutable record compared, hashed and printed by its public fields,
+    ``_fields``, which each subclass's ``__init__`` sets through ``_set``."""
 
     __slots__ = ()
 
+    @property
+    def _fields(self) -> tuple[str, ...]:  # a class storing other slots names them
+        return self.__slots__
+
+    @classmethod
+    def _trusted(cls, *values):  # slot values in order; the caller made the checks
+        record = _new(cls)
+        for field, value in zip(cls.__slots__, values):
+            _set(record, field, value)
+        return record
+
     def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
+        return tuple(getattr(self, f) for f in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -84,7 +94,7 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):  # copy and pickle rebuild through __init__
@@ -97,7 +107,13 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+_new = object.__new__
 _set = object.__setattr__
+
+
+def _fraction(*args) -> "Fraction":  # imported on first use: tables never need it
+    from fractions import Fraction
+    return Fraction(*args)
 
 
 class CitationVector(_Record):
@@ -162,30 +178,35 @@ class AuthorProfile(_Record):
 class IndexReport(_Record):
     """Every statistic computed for one author.
 
-    ``citations_per_paper`` and ``hm_exact`` are exact fractions;
-    ``citations_per_paper_display`` is the truncated form and
+    ``citations_per_paper`` and ``hm_exact`` are exact fractions, kept as
+    (numerator, denominator) int pairs, not always reduced, and built on
+    access; ``citations_per_paper_display`` is the truncated form and
     ``hm_display`` the half-away-from-zero rounded form. ``h`` is None
     when it cannot be known (aggregate data without a reported value).
     """
 
-    __slots__ = ("n_papers", "total_citations", "citations_per_paper",
-                 "citations_per_paper_display", "h", "h_source", "hm_exact",
-                 "hm_display")
+    __slots__ = ("n_papers", "total_citations", "_rate",
+                 "citations_per_paper_display", "h", "h_source", "_hm", "hm_display")
+    _fields = ("n_papers", "total_citations", "citations_per_paper",
+               "citations_per_paper_display", "h", "h_source", "hm_exact", "hm_display")
 
     def __init__(self, n_papers: int, total_citations: int,
-                 citations_per_paper: Fraction, citations_per_paper_display: int,
+                 citations_per_paper: "Fraction", citations_per_paper_display: int,
                  h: int | None, h_source: HSource | None,
-                 hm_exact: Fraction, hm_display: int):
+                 hm_exact: "Fraction", hm_display: int):
         if (h is None) != (h_source is None):
             raise ValueError("h and h_source must be both present or both absent")
         _set(self, "n_papers", n_papers)
         _set(self, "total_citations", total_citations)
-        _set(self, "citations_per_paper", citations_per_paper)
+        _set(self, "_rate", citations_per_paper.as_integer_ratio())
         _set(self, "citations_per_paper_display", citations_per_paper_display)
         _set(self, "h", h)
         _set(self, "h_source", h_source)
-        _set(self, "hm_exact", hm_exact)
+        _set(self, "_hm", hm_exact.as_integer_ratio())
         _set(self, "hm_display", hm_display)
+
+    citations_per_paper = property(lambda self: _fraction(*self._rate))
+    hm_exact = property(lambda self: _fraction(*self._hm))
 
 
 class Violation(_Record):
@@ -215,13 +236,13 @@ def total_citations(vector: CitationVector) -> int:
     return sum(vector.counts)
 
 
-def citations_per_paper(n_papers: int, total_citations: int) -> Fraction:
+def citations_per_paper(n_papers: int, total_citations: int) -> "Fraction":
     """Exact citations per paper, total/n_papers. Requires n_papers >= 1."""
     if n_papers < 1:
         raise ValueError(
             "n_papers must be >= 1; a zero-paper author has no per-paper rate"
         )
-    return Fraction(total_citations, n_papers)
+    return _fraction(total_citations, n_papers)
 
 
 def h_index(vector: CitationVector) -> int:
@@ -236,19 +257,18 @@ def h_index(vector: CitationVector) -> int:
 
 
 def hm_index(
-    n_papers: int | Fraction, citations_per_paper: int | Fraction
-) -> Fraction:
+    n_papers: "int | Fraction", citations_per_paper: "int | Fraction"
+) -> "Fraction":
     """Half harmonic mean p*c/(p + c), i.e. the H solving 1/H = 1/p + 1/c.
 
     Both arguments may be any non-negative rational. Returns 0 when either
     argument is 0, the limiting value as the matching reciprocal diverges.
     """
-    p = Fraction(n_papers)
-    c = Fraction(citations_per_paper)
+    p, c = _fraction(n_papers), _fraction(citations_per_paper)
     if p < 0 or c < 0:
         raise ValueError(f"hm_index needs non-negative inputs, got ({p}, {c})")
     if p == 0 or c == 0:
-        return Fraction(0)
+        return _fraction(0)
     return p * c / (p + c)
 
 
@@ -261,7 +281,7 @@ def _round_half_up(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-def hm_index_from_totals(n_papers: int, total_citations: int) -> Fraction:
+def hm_index_from_totals(n_papers: int, total_citations: int) -> "Fraction":
     """HM index straight from totals: n*t / (n^2 + t), 0 for n == 0.
 
     Algebraically identical to ``hm_index(n, t/n)`` but never forms the
@@ -270,13 +290,13 @@ def hm_index_from_totals(n_papers: int, total_citations: int) -> Fraction:
     _check_count(n_papers, "n_papers")
     _check_count(total_citations, "total_citations")
     if n_papers == 0:
-        return Fraction(0)
-    return Fraction(*_hm_terms(n_papers, total_citations))
+        return _fraction(0)
+    return _fraction(*_hm_terms(n_papers, total_citations))
 
 
-def _display_input(value: int | float | Fraction, rule: str) -> Fraction:
+def _display_input(value: "int | float | Fraction", rule: str) -> "Fraction":
     try:
-        x = Fraction(value)
+        x = _fraction(value)
     except (OverflowError, ValueError):  # infinite or NaN
         raise ValueError(f"{rule} needs a finite value, got {value}") from None
     if x < 0:
@@ -284,13 +304,13 @@ def _display_input(value: int | float | Fraction, rule: str) -> Fraction:
     return x
 
 
-def round_display(value: int | float | Fraction) -> int:
+def round_display(value: "int | float | Fraction") -> int:
     """Nearest integer, halves rounded away from zero. Display rule for HM."""
     x = _display_input(value, "round_display")
     return _round_half_up(x.numerator, x.denominator)
 
 
-def truncate_display(value: int | float | Fraction) -> int:
+def truncate_display(value: "int | float | Fraction") -> int:
     """Integer part with the fraction discarded. Display rule for N_c."""
     x = _display_input(value, "truncate_display")
     return x.numerator // x.denominator
@@ -310,19 +330,11 @@ def consistency_check(
     _check_count(reported_h, "reported_h")
     violations = []
     if reported_h > n_papers:
-        violations.append(
-            Violation(
-                RULE_H_EXCEEDS_PAPER_COUNT,
-                f"h={reported_h} exceeds the paper count {n_papers}",
-            )
-        )
+        message = f"h={reported_h} exceeds the paper count {n_papers}"
+        violations.append(Violation(RULE_H_EXCEEDS_PAPER_COUNT, message))
     if reported_h**2 > total_citations:
-        violations.append(
-            Violation(
-                RULE_H_SQUARED_EXCEEDS_TOTAL_CITATIONS,
-                f"h^2={reported_h**2} exceeds the total citations {total_citations}",
-            )
-        )
+        message = f"h^2={reported_h**2} exceeds the total citations {total_citations}"
+        violations.append(Violation(RULE_H_SQUARED_EXCEEDS_TOTAL_CITATIONS, message))
     return ValidationResult(passed=not violations, violations=tuple(violations))
 
 
@@ -334,31 +346,23 @@ def full_report(profile: AuthorProfile) -> IndexReport:
     papers) is all zeros, h included, since nothing else is possible.
     """
     data = profile.data
-    if isinstance(data, FullData):
-        n = len(data.vector)
-        total = total_citations(data.vector)
-        h: int | None = h_index(data.vector)
-        source: HSource | None = HSource.COMPUTED
-    elif isinstance(data, AggregateData):
-        n = data.n_papers
-        total = data.total_citations
+    if isinstance(data, AggregateData):
+        n, total, h = data.n_papers, data.total_citations, data.reported_h
         if n == 0 and total > 0:
             raise InconsistentAggregateError(
-                f"profile {profile.name!r}: zero papers cannot carry "
-                f"{total} citations"
+                f"profile {profile.name!r}: zero papers cannot carry {total} citations"
             )
+        source = None if h is None else HSource.REPORTED
         if n == 0:
             h, source = 0, HSource.COMPUTED
-        elif data.reported_h is not None:
-            h, source = data.reported_h, HSource.REPORTED
-        else:
-            h, source = None, None
+    elif isinstance(data, FullData):
+        n, total = len(data.vector), total_citations(data.vector)
+        h, source = h_index(data.vector), HSource.COMPUTED
     else:
         raise TypeError(f"unsupported profile data: {type(data).__name__}")
 
     rate_n = n or 1  # an empty career has no citations either: all values 0
-    hm_num, hm_den = _hm_terms(rate_n, total)
-    return IndexReport(  # by position: keyword arguments cost more per row
-        n, total, Fraction(total, rate_n), total // rate_n, h, source,
-        Fraction(hm_num, hm_den), _round_half_up(hm_num, hm_den),
+    hm = _hm_terms(rate_n, total)
+    return IndexReport._trusted(  # h and source come together above
+        n, total, (total, rate_n), total // rate_n, h, source, hm, _round_half_up(*hm)
     )

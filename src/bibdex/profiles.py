@@ -145,9 +145,8 @@ def parse_citation_csv(text: str | bytes) -> CitationVector:
     if not lines or lines[0] != CSV_HEADER:
         got = lines[0] if lines else ""
         hint = " (CRLF line endings are not supported)" if got.endswith("\r") else ""
-        raise CsvFormatError(
-            f"expected header {CSV_HEADER!r}, got {got!r}{hint}", line=1
-        )
+        message = f"expected header {CSV_HEADER!r}, got {got!r}{hint}"
+        raise CsvFormatError(message, line=1)
     counts: list[int] = []
     seen: set[str] = set()
     for lineno, row in enumerate(lines[1:], start=2):
@@ -162,14 +161,11 @@ def parse_citation_csv(text: str | bytes) -> CitationVector:
         if not paper_id:
             raise CsvFormatError("empty paper_id", line=lineno)
         if paper_id in seen:
-            raise DuplicatePaperIdError(
-                f"duplicate paper_id {paper_id!r}", line=lineno
-            )
+            raise DuplicatePaperIdError(f"duplicate paper_id {paper_id!r}", line=lineno)
         seen.add(paper_id)
         if not (raw_count.isascii() and raw_count.isdigit()):
             raise CsvValueError(
-                f"citations must be a non-negative decimal integer, "
-                f"got {raw_count!r}",
+                f"citations must be a non-negative decimal integer, got {raw_count!r}",
                 line=lineno,
             )
         if len(raw_count) > _MAX_DIGITS:  # zero-padded? int() refuses 4,301+ digits
@@ -244,13 +240,12 @@ def _parse_aggregate(raw: object) -> AggregateData:
     _check_keys(raw, _AGGREGATE_KEYS, "aggregate keys")
     missing = {"n_papers", "total_citations"} - raw.keys()
     if missing:
-        raise ProfileSchemaError(
-            f"aggregate requires keys: {', '.join(sorted(missing))}"
-        )
-    for key in _AGGREGATE_KEYS:
+        keys = ", ".join(sorted(missing))
+        raise ProfileSchemaError(f"aggregate requires keys: {keys}")
+    for key in _AGGREGATE_KEYS:  # so the record below need not check them again
         if key in raw:
             _require_int(raw[key], f"aggregate.{key}")
-    return AggregateData(raw["n_papers"], raw["total_citations"], raw.get("reported_h"))
+    return AggregateData._trusted(*map(raw.get, AggregateData.__slots__))
 
 
 def parse_profile_json(text: str | bytes) -> AuthorProfile:
@@ -272,8 +267,7 @@ def parse_profile_json(text: str | bytes) -> AuthorProfile:
     if "snapshot_date" in obj:
         snapshot = _parse_snapshot_date(obj["snapshot_date"])
     has_papers = "papers" in obj
-    has_aggregate = "aggregate" in obj
-    if has_papers == has_aggregate:
+    if has_papers == ("aggregate" in obj):
         raise ProfileSchemaError(
             "exactly one of 'papers' or 'aggregate' must be present"
         )
@@ -328,19 +322,12 @@ def load_builtin_cohort(cohort: Cohort | str) -> list[AuthorProfile]:
             ) from None
     if cohort is Cohort.RESEARCHERS:
         return [
-            AuthorProfile(
-                name=f"Researcher {i}",
-                data=FullData(CitationVector((per_paper,) * n_papers)),
-            )
-            for i, (n_papers, per_paper) in enumerate(_RESEARCHERS, start=1)
+            AuthorProfile(f"Researcher {i}", FullData(CitationVector((count,) * n)))
+            for i, (n, count) in enumerate(_RESEARCHERS, start=1)
         ]
     return [
-        AuthorProfile(
-            name=name,
-            data=AggregateData(n_papers, total, reported_h=h),
-            snapshot_date=_CTR_SNAPSHOT,
-        )
-        for name, n_papers, total, h in _CTR
+        AuthorProfile(name, AggregateData(n, total, h), _CTR_SNAPSHOT)
+        for name, n, total, h in _CTR
     ]
 
 
@@ -415,8 +402,5 @@ class ProfileStore:
             entries = os.listdir(self.root)
         except OSError:  # missing, not a directory, or unreadable
             return []
-        return sorted(
-            stem
-            for entry in entries
-            if entry.endswith(".json") and _STORE_NAME_RE.match(stem := entry[:-5])
-        )
+        stems = (entry[:-5] for entry in entries if entry.endswith(".json"))
+        return sorted(filter(_STORE_NAME_RE.match, stems))

@@ -7,12 +7,11 @@ strings.
 """
 
 from collections import namedtuple
-from collections.abc import Sequence
-from decimal import Context, Decimal
-from fractions import Fraction
+from collections.abc import Iterable, Sequence
+from functools import cache
 from operator import attrgetter
 
-from .metrics import AuthorProfile, HSource, IndexReport, _Record, _set, full_report
+from .metrics import AuthorProfile, IndexReport, _Record, _set, full_report
 from .profiles import _indented
 
 __all__ = [
@@ -27,38 +26,64 @@ __all__ = [
 # Exact rationals are emitted as decimal strings with this many
 # significant digits, alongside the display integers.
 JSON_SIG_DIGITS = 12
-_JSON_DECIMALS = Context(prec=JSON_SIG_DIGITS)
 
-
-# One table column. Each field name is ``name`` or an IndexReport field.
+# One table column. Each formatter maps a TableRow to its cell; a renderer
+# picks its formatters once per table.
 # label: Markdown header; CSV and JSON use the column id itself
-# cell: md/csv cell; None renders as "-" in md, empty in csv
-# sort: exact sort value; rows where it is None sort last
-# json: JSON fields, in output order
-_Column = namedtuple("_Column", "label cell sort json")
+# md: Markdown cell; an int prints as itself
+# csv: CSV field; csv.writer prints an int as itself and None as an empty field
+# sort: exact sort value, an int pair (num, den) for a fraction; None sorts last
+# json: (field, JSON text) pairs, in output order
+_Column = namedtuple("_Column", "label md csv sort json")
 
+
+def _field(name: str):
+    return attrgetter(f"report.{name}")
+
+
+def _or(missing: str, get):  # get's value, with ``missing`` in place of None
+    return lambda row: missing if (value := get(row)) is None else value
+
+
+def _md_name(row) -> str:
+    return row.name.replace("\\", "\\\\").replace("|", "\\|")
+
+
+def _json_name(row) -> str:
+    import json  # on first use: md and csv output never load it
+    return json.dumps(row.name)
+
+
+def _json_source(row) -> str:
+    source = row.report.h_source
+    return "null" if source is None else f'"{source.value}"'
+
+
+def _count(label: str, field: str) -> _Column:  # an int, the same in every format
+    get = _field(field)
+    return _Column(label, get, get, get, ((field, get),))
+
+
+def _exact(label: str, field: str, pair: str, display: str) -> _Column:
+    shown, exact = _field(display), _field(pair)  # cells show one, sorts use the other
+    json = ((field, lambda row: f'"{_json_divide()(*exact(row))}"'), (display, shown))
+    return _Column(label, shown, shown, exact, json)
+
+
+_name, _h = attrgetter("name"), _field("h")
 _COLUMNS = {
-    "name": _Column("Name", "name", "name", ("name",)),
-    "n_papers": _Column("N_p", "n_papers", "n_papers", ("n_papers",)),
-    "total_citations": _Column(
-        "N_c_tot", "total_citations", "total_citations", ("total_citations",)
+    "name": _Column("Name", _md_name, _name, _name, (("name", _json_name),)),
+    "n_papers": _count("N_p", "n_papers"),
+    "total_citations": _count("N_c_tot", "total_citations"),
+    "citations_per_paper": _exact(
+        "N_c", "citations_per_paper", "_rate", "citations_per_paper_display"
     ),
-    "citations_per_paper": _Column(
-        "N_c",
-        "citations_per_paper_display",
-        "citations_per_paper",
-        ("citations_per_paper", "citations_per_paper_display"),
+    "h": _Column(
+        "h", _or("-", _h), _h, _h, (("h", _or("null", _h)), ("h_source", _json_source))
     ),
-    "h": _Column("h", "h", "h", ("h", "h_source")),
-    "hm": _Column("HM", "hm_display", "hm_exact", ("hm_exact", "hm_display")),
+    "hm": _exact("HM", "hm_exact", "_hm", "hm_display"),
 }
 COLUMNS = tuple(_COLUMNS)
-# a getter from a TableRow to each field the columns name
-_GET = {
-    f: attrgetter(f if f == "name" else f"report.{f}")
-    for column in _COLUMNS.values()
-    for f in (column.cell, column.sort, *column.json)
-}
 
 
 class TableRow(_Record):
@@ -104,35 +129,32 @@ def compare(
 
     rows = [TableRow(p.name, full_report(p)) for p in profiles]
     if sort is not None:
-        get = _GET[_COLUMNS[sort].sort]
+        get = _COLUMNS[sort].sort
         present = [r for r in rows if get(r) is not None]
-        keys = [get(r) for r in present]
-        if keys and type(keys[0]) is Fraction:
+        keys = list(map(get, present))
+        if keys and type(keys[0]) is tuple:
             # exact: distinct x with denominators <= D are >= 1/D**2 > 2**-k apart
-            k = 2 * max(x.denominator for x in keys).bit_length() + 1
-            keys = [(x.numerator << k) // x.denominator for x in keys]
+            k = 2 * max(den for _, den in keys).bit_length() + 1
+            keys = [(num << k) // den for num, den in keys]
         order = sorted(range(len(present)), key=keys.__getitem__, reverse=descending)
         rows = [present[i] for i in order] + [r for r in rows if get(r) is None]
     return ComparisonTable(columns=cols, rows=tuple(rows))
 
 
-def _cells(table: ComparisonTable, missing: str):
-    getters = [_GET[_COLUMNS[c].cell] for c in table.columns]
-    for row in table.rows:
-        yield [missing if (v := get(row)) is None else str(v) for get in getters]
+def _cells_by_column(table: ComparisonTable, formatters: list) -> Iterable[tuple]:
+    """Each row's tuple of formatted cells, built one column at a time."""
+    if not formatters:
+        return [()] * len(table.rows)
+    return zip(*[map(f, table.rows) for f in formatters])
 
 
 def render_markdown(table: ComparisonTable) -> str:
     """Pipe-delimited Markdown: header, alignment row, one row per report."""
-    header = "| " + " | ".join(_COLUMNS[c].label for c in table.columns) + " |"
-    align = "| " + " | ".join(
-        "---" if c == "name" else "---:" for c in table.columns
-    ) + " |"
-    lines = [header, align]
-    for cells in _cells(table, missing="-"):
-        escaped = (c.replace("\\", "\\\\").replace("|", "\\|") for c in cells)
-        lines.append("| " + " | ".join(escaped) + " |")
-    return "\n".join(lines) + "\n"
+    row = "| " + " | ".join(["%s"] * len(table.columns)) + " |"
+    header = row % tuple(_COLUMNS[c].label for c in table.columns)
+    align = row % tuple("---" if c == "name" else "---:" for c in table.columns)
+    cells = _cells_by_column(table, [_COLUMNS[c].md for c in table.columns])
+    return "\n".join([header, align, *map(row.__mod__, cells)]) + "\n"
 
 
 def render_csv(table: ComparisonTable) -> str:
@@ -142,33 +164,27 @@ def render_csv(table: ComparisonTable) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(table.columns)
-    writer.writerows(_cells(table, missing=""))
+    writer.writerows(_cells_by_column(table, [_COLUMNS[c].csv for c in table.columns]))
     return out.getvalue()
 
 
-def fraction_str(value: Fraction) -> str:
+@cache
+def _json_divide():  # int division to JSON_SIG_DIGITS digits, which is exact
+    import decimal  # for the value, reduced or not; md and csv never load decimal
+    return decimal.Context(prec=JSON_SIG_DIGITS).divide
+
+
+def fraction_str(value: "Fraction") -> str:
     """Decimal string of an exact fraction at JSON_SIG_DIGITS significant digits."""
-    num, den = Decimal(value.numerator), Decimal(value.denominator)
-    return str(_JSON_DECIMALS.divide(num, den))
+    return str(_json_divide()(value.numerator, value.denominator))
 
 
 def json_rows(table: ComparisonTable, level: int = 0) -> list[str]:
     """One JSON object per row holding its columns' JSON fields, in column
-    order, laid out nested ``level`` deep; Fractions become decimal strings."""
-    import json
-    fields = [(f, _GET[f]) for c in table.columns for f in _COLUMNS[c].json]
+    order, laid out nested ``level`` deep; fractions become decimal strings."""
+    fields = [field for c in table.columns for field in _COLUMNS[c].json]
     template = _indented([f'"{f}": %s' for f, _ in fields], level, "{}")
-
-    def text(value: object) -> str:
-        if type(value) is int:
-            return str(value)
-        if value is None:
-            return "null"
-        if type(value) is Fraction:  # isinstance() would go through ABCMeta
-            return f'"{fraction_str(value)}"'
-        return json.dumps(value.value if isinstance(value, HSource) else value)
-
-    return [template % tuple([text(get(row)) for _, get in fields]) for row in table.rows]
+    return list(map(template.__mod__, _cells_by_column(table, [f for _, f in fields])))
 
 
 def render_json(table: ComparisonTable) -> str:

@@ -493,33 +493,44 @@ class TestArgumentErrors:
 
 # Run with -S: a site-packages .pth file may import modules (tempfile, typing)
 # before bibdex does, which would hide a module that bibdex starts importing.
+# argv[1] is a store holding Germano and Moin.
 IMPORT_PROBE = """
 import io, sys
 before = set(sys.modules)
 import bibdex.cli
 print(*sorted(set(sys.modules) - before))
 out, sys.stdout = sys.stdout, io.StringIO()
-for extra in ([], ["--format", "json"]):
-    bibdex.cli.main(["demo", "--cohort", "ctr", *extra])
+for argv in (
+    ["demo", "--cohort", "ctr"],
+    ["demo", "--cohort", "ctr", "--format", "csv"],
+    ["compare", "Germano", "Moin", "--store", sys.argv[1]],
+    ["demo", "--cohort", "ctr", "--format", "json"],
+):
+    assert bibdex.cli.main(argv) == 0
     print(*sorted(set(sys.modules) - before), file=out)
 """
 
 
-def test_import_budget():
+def test_import_budget(ctr_store):
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", IMPORT_PROBE],
+        [sys.executable, "-S", "-c", IMPORT_PROBE, str(ctr_store.root)],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
-    on_import, after_md, after_json = map(set, map(str.split, proc.stdout.splitlines()))
+    on_import, after_md, after_csv, after_compare, after_json = map(
+        set, map(str.split, proc.stdout.splitlines())
+    )
     unused = {
         "__future__", "dataclasses", "inspect", "typing", "json", "csv", "tempfile"
     }
+    exact = {"fractions", "decimal", "numbers"}  # only JSON output needs them
     assert "bibdex.cli" in on_import
-    assert not on_import & unused
-    assert not after_md & {"json", "csv"}
-    assert "json" in after_json
+    assert not on_import & (unused | exact)
+    assert not after_md & ({"json", "csv"} | exact)
+    assert "csv" in after_csv and not after_csv & ({"json"} | exact)
+    assert "json" in after_compare and not after_compare & exact
+    assert {"json", "decimal"} <= after_json

@@ -1,10 +1,14 @@
 """The public record types: immutable values compared, hashed and printed by field."""
 
 import copy
+import math
 import pickle
 from datetime import date
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bibdex import (
     AggregateData,
@@ -13,6 +17,7 @@ from bibdex import (
     ComparisonTable,
     FullData,
     HSource,
+    MAX_FIELD_VALUE,
     IndexReport,
     TableRow,
     ValidationResult,
@@ -28,6 +33,11 @@ PIOMELLI_REPR = (
     "hm_exact=Fraction(1720050, 33967), hm_display=51)"
 )
 ROW = TableRow("Piomelli", PIOMELLI)
+# IndexReport's constructor arguments, in order
+REPORT_FIELDS = (
+    "n_papers", "total_citations", "citations_per_paper",
+    "citations_per_paper_display", "h", "h_source", "hm_exact", "hm_display",
+)
 SNAP = date(2020, 9, 30)
 
 # (type, keyword arguments in field order, a different value, its repr)
@@ -185,7 +195,7 @@ def test_vector_counts_become_a_tuple():
     "h, source", [(39, None), (None, HSource.REPORTED)], ids=["no-source", "no-h"]
 )
 def test_report_h_and_source_come_together(h, source):
-    fields = {f: getattr(PIOMELLI, f) for f in IndexReport.__slots__}
+    fields = {f: getattr(PIOMELLI, f) for f in REPORT_FIELDS}
     fields.update(h=h, h_source=source)
     with pytest.raises(ValueError) as info:
         IndexReport(**fields)
@@ -201,3 +211,39 @@ def test_result_passes_exactly_without_violations(passed, violations):
     with pytest.raises(ValueError) as info:
         ValidationResult(passed, violations)
     assert str(info.value) == "passed must mirror an empty violation list"
+
+
+M = MAX_FIELD_VALUE
+profiles = st.builds(
+    lambda n, t, h: AuthorProfile("A", AggregateData(n, t if n else 0, h)),
+    st.integers(0, M),
+    st.integers(0, M),
+    st.none() | st.integers(0, M),
+) | st.builds(
+    lambda counts: AuthorProfile("V", FullData(CitationVector(counts))),
+    st.lists(st.integers(0, M), max_size=6),
+)
+
+
+@given(profiles)
+@example(AuthorProfile("empty", AggregateData(0, 0, 5)))
+@example(AuthorProfile("unreduced", AggregateData(6, 12)))  # 12/6 and 72/48
+@example(AuthorProfile("none", FullData(CitationVector())))
+def test_full_report_is_the_record_its_fractions_build(profile):
+    report = full_report(profile)
+    public = IndexReport(*(getattr(report, f) for f in REPORT_FIELDS))
+    assert report == public and hash(report) == hash(public)
+    assert repr(report) == repr(public)
+    for value in (report.citations_per_paper, report.hm_exact):
+        assert type(value) is Fraction
+        assert math.gcd(value.numerator, value.denominator) == 1
+    n, t = report.n_papers, report.total_citations
+    assert report.citations_per_paper == (Fraction(t, n) if n else 0)
+    assert report.hm_exact == (Fraction(n * t, n * n + t) if n else 0)
+
+
+@given(profiles)
+def test_full_report_survives_pickle_and_deepcopy(profile):
+    report = full_report(profile)
+    for other in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+        assert other == report and repr(other) == repr(report)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 from fractions import Fraction
 from operator import itemgetter
 
@@ -417,6 +418,20 @@ class TestRenderJson:
         assert render_json(table) == json.dumps(payload, indent=2) + "\n"
         assert json_rows(table) == [json.dumps(row, indent=2) for row in rows]
 
+    @given(st.lists(aggregates, max_size=6))
+    def test_unreduced_pairs_give_the_reduced_decimals(self, specs):
+        # full_report keeps t/n and nt/(n^2 + t) unreduced; its public
+        # constructor reduces them
+        reports = [full_report(AuthorProfile("a", AggregateData(*spec))) for spec in specs]
+        fields = ("n_papers", "total_citations", "citations_per_paper",
+                  "citations_per_paper_display", "h", "h_source", "hm_exact", "hm_display")
+        reduced = [IndexReport(*(getattr(r, f) for f in fields)) for r in reports]
+        unreduced, public = (
+            ComparisonTable(COLUMNS, tuple(TableRow("a", r) for r in rs))
+            for rs in (reports, reduced)
+        )
+        assert json_rows(unreduced) == json_rows(public)
+
     def test_ctr_row_bytes(self):
         (row,) = json_rows(compare([GERMANO]))
         assert row == (
@@ -431,6 +446,97 @@ class TestRenderJson:
         assert render_json(compare([], columns=("h", "name"))) == (
             '{\n  "columns": [\n    "h",\n    "name"\n  ],\n  "rows": []\n}\n'
         )
+
+
+# the Markdown header and the report field each non-name column shows
+MD_LABELS = {
+    "name": "Name",
+    "n_papers": "N_p",
+    "total_citations": "N_c_tot",
+    "citations_per_paper": "N_c",
+    "h": "h",
+    "hm": "HM",
+}
+DISPLAY_FIELD = {
+    "n_papers": "n_papers",
+    "total_citations": "total_citations",
+    "citations_per_paper": "citations_per_paper_display",
+    "h": "h",
+    "hm": "hm_display",
+}
+
+
+def oracle_cells(row, columns, missing):
+    """A row's cells before escaping: the name, str() of each int, and
+    ``missing`` for a row without h."""
+    cells = []
+    for column in columns:
+        value = row.name if column == "name" else getattr(row.report, DISPLAY_FIELD[column])
+        cells.append(missing if value is None else str(value))
+    return cells
+
+
+def oracle_markdown(table):
+    def line(cells):
+        return "| " + " | ".join(cells) + " |"
+
+    columns = table.columns
+    lines = [
+        line(MD_LABELS[c] for c in columns),
+        line("---" if c == "name" else "---:" for c in columns),
+    ]
+    for row in table.rows:
+        cells = oracle_cells(row, columns, "-")
+        escaped = (
+            cell.replace("\\", "\\\\").replace("|", "\\|") if c == "name" else cell
+            for c, cell in zip(columns, cells)
+        )
+        lines.append(line(escaped))
+    return "\n".join(lines) + "\n"
+
+
+def markdown_cells(line):
+    """The unescaped cells of one Markdown table line."""
+    pieces, piece, chars = [], "", iter(line)
+    for char in chars:
+        if char == "|":
+            pieces.append(piece)
+            piece = ""
+        else:
+            piece += next(chars) if char == "\\" else char
+    assert pieces[0] == piece == ""
+    assert all(p[0] == p[-1] == " " for p in pieces[1:])
+    return [p[1:-1] for p in pieces[1:]]
+
+
+def listable(table):
+    """The table with C0 controls taken out of its names, as the name rule
+    requires of every name a parser accepts."""
+    rows = (TableRow(re.sub("[\x00-\x1f]", "", r.name), r.report) for r in table.rows)
+    return ComparisonTable(table.columns, tuple(rows))
+
+
+class TestMarkdownAndCsvOracles:
+    @given(tables)
+    @settings(max_examples=200)
+    def test_markdown_matches_oracle_a_line_per_row_a_cell_per_column(self, table):
+        assert render_markdown(table) == oracle_markdown(table)
+        table = listable(table)
+        lines = render_markdown(table).split("\n")
+        assert len(lines) == len(table.rows) + 3 and lines[-1] == ""
+        if table.columns:  # with none, each line is a bare "|  |"
+            assert markdown_cells(lines[0]) == [MD_LABELS[c] for c in table.columns]
+            for line, row in zip(lines[2:], table.rows):
+                assert markdown_cells(line) == oracle_cells(row, table.columns, "-")
+
+    @given(tables.map(listable))
+    @settings(max_examples=200)
+    def test_csv_reader_gives_back_the_cells(self, table):
+        # C0 names stay out: before 3.12 csv.writer leaves a lone CR unquoted,
+        # and 3.10's cannot write NUL
+        records = list(csv.reader(io.StringIO(render_csv(table), newline="")))
+        expected = [oracle_cells(row, table.columns, "") for row in table.rows]
+        assert records == [list(table.columns), *expected]
 
 
 class TestDeterminism:
