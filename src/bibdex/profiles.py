@@ -58,6 +58,9 @@ _DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}\Z")
 _STORE_NAME_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
 _C0_RE = re.compile(r"[\x00-\x1f]")  # a line break or tab would break a table row
 _MAX_DIGITS = len(str(MAX_FIELD_VALUE))
+_CSV_RE = re.compile(  # the header, then rows of an id and 1-10 ASCII digits
+    rf"{re.escape(CSV_HEADER)}(?:\n[^,\n]+,[0-9]{{1,{_MAX_DIGITS}}})*\n?"
+)
 
 
 class ProfileError(Exception):
@@ -139,7 +142,23 @@ def _decode(text: str | bytes, error: type[ProfileError]) -> str:
 def parse_citation_csv(text: str | bytes) -> CitationVector:
     """Parse a citation CSV into a vector, one count per data row."""
     decoded = _decode(text, CsvFormatError)
-    lines = decoded.split("\n")
+    if _CSV_RE.fullmatch(decoded):
+        ids = decoded.replace("\n", ",").split(",")
+        del ids[:2]  # the header
+        if len(ids) % 2:
+            ids.pop()  # the empty field after the final newline
+        counts = tuple(map(int, ids[1::2]))
+        del ids[1::2]  # only the ids are left; frees the count texts early
+        if len(set(ids)) == len(ids) and max(counts, default=0) <= MAX_FIELD_VALUE:
+            return CitationVector(counts, _checked=True)
+        del ids, counts  # the row loop finds the fault without them
+    return _parse_csv_rows(decoded)  # any other input, well-formed or not
+
+
+def _parse_csv_rows(text: str) -> CitationVector:
+    """The row loop: every CSV error but a decoding one is raised here, with
+    its line. parse_citation_csv's bulk path only ever accepts."""
+    lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != CSV_HEADER:

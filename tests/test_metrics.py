@@ -1,6 +1,7 @@
 """Unit and property tests for the metric computations."""
 
 import math
+import random
 from datetime import date
 from fractions import Fraction
 
@@ -85,6 +86,33 @@ class TestHIndex:
         counts = (5, 4, 3, 2, 1)
         assert brute_force_h(counts) == 3
         assert h_index(CitationVector(counts)) == 3
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            (0,) * 7,  # h is 0
+            (100, 100, 100),  # every paper qualifies: h is the paper count
+            (MAX_FIELD_VALUE,) * 4,
+            (MAX_FIELD_VALUE, 0, 1, 2),
+            (0,),
+            (1,),
+            (MAX_FIELD_VALUE,),
+            tuple(random.Random(22).sample(range(1_500), 1_000)),
+        ],
+        ids=["zeros", "h-is-n", "max", "max-and-small", "one-0", "one-1",
+             "one-max", "1e3-distinct"],
+    )
+    def test_edges_match_brute_force(self, counts):
+        assert h_index(CitationVector(counts)) == brute_force_h(counts)
+
+    @pytest.mark.parametrize("top", [15_000, MAX_FIELD_VALUE], ids=["small", "large"])
+    def test_ten_thousand_distinct_counts(self, top):
+        """brute_force_h is quadratic (10^8 steps here), so check what its scan
+        decides: h qualifies and h + 1 does not."""
+        counts = random.Random(top).sample(range(top), 10_000)
+        h = h_index(CitationVector(tuple(counts)))
+        assert sum(c >= h for c in counts) >= h
+        assert sum(c >= h + 1 for c in counts) < h + 1
 
     @given(vectors)
     @settings(max_examples=300)

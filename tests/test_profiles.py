@@ -5,7 +5,7 @@ import os
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bibdex import (
@@ -14,6 +14,7 @@ from bibdex import (
     AuthorProfile,
     CitationVector,
     Cohort,
+    CsvError,
     CsvFormatError,
     CsvValueError,
     DuplicatePaperIdError,
@@ -30,7 +31,13 @@ from bibdex import (
     parse_profile_json,
     serialize_profile,
 )
-from bibdex.profiles import _STORE_NAME_RE, _check_name
+from bibdex.profiles import (
+    CSV_HEADER,
+    _STORE_NAME_RE,
+    _check_name,
+    _decode,
+    _parse_csv_rows,
+)
 
 profile_names = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-",
@@ -153,6 +160,113 @@ class TestCitationCsv:
         except ProfileError:
             return
         assert isinstance(result, CitationVector)
+
+
+CSV_MUTATIONS = (
+    "crlf", "cr-in-id", "pad-10", "pad-11+", "edge-count", "duplicate-id",
+    "empty-id", "blank-line", "unicode-digit",
+)
+
+
+def _insert(draw, text, extra):  # text or bytes
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + extra + text[at:]
+
+
+def mutate_csv_rows(draw, rows, name):
+    """Apply one named mutation to ``rows`` of (id, count text); None is a
+    blank line."""
+    if name == "blank-line":
+        rows.insert(draw(st.integers(0, len(rows))), None)
+        return
+    filled = [i for i, row in enumerate(rows) if row is not None]
+    if not filled:
+        return
+    i = draw(st.sampled_from(filled))
+    paper_id, count = rows[i]
+    if name == "crlf":
+        count += "\r"
+    elif name == "cr-in-id":
+        paper_id = _insert(draw, paper_id, "\r")
+    elif name == "pad-10":
+        count = count.zfill(10)
+    elif name == "pad-11+":
+        count = count.zfill(draw(st.integers(11, 30)))
+    elif name == "edge-count":
+        count = draw(st.sampled_from([str(2**31 - 1), str(2**31), "9999999999"]))
+    elif name == "duplicate-id":
+        rows.insert(draw(st.integers(0, len(rows))), (paper_id, "1"))
+        return
+    elif name == "empty-id":
+        paper_id = ""
+    elif name == "unicode-digit":
+        count = _insert(draw, count, draw(st.sampled_from("٣²")))
+    rows[i] = (paper_id, count)
+
+
+@st.composite
+def citation_csv_inputs(draw):
+    """Well-formed citation CSVs and their mutants, as text or bytes."""
+    rows = draw(st.lists(
+        st.tuples(st.text("ab1é", min_size=1, max_size=4),
+                  st.integers(0, MAX_FIELD_VALUE).map(str)),
+        max_size=6,
+        unique_by=lambda row: row[0],
+    ))
+    for name in draw(st.lists(st.sampled_from(CSV_MUTATIONS), max_size=2)):
+        mutate_csv_rows(draw, rows, name)
+    lines = [CSV_HEADER] + ["" if row is None else ",".join(row) for row in rows]
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))  # final newline or not
+    if not draw(st.booleans()):
+        return text
+    data = text.encode()
+    if draw(st.booleans()):  # invalid UTF-8 somewhere
+        bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0"]))
+        data = _insert(draw, data, bad)
+    return data
+
+
+def csv_outcome(parse, data):
+    try:
+        return parse(data)
+    except CsvError as exc:
+        return type(exc), str(exc), exc.line
+
+
+def row_loop(data):
+    return _parse_csv_rows(_decode(data, CsvFormatError))
+
+
+class TestCsvBulkPath:
+    """parse_citation_csv accepts well-formed input in bulk and leaves every
+    other input to the row loop, _parse_csv_rows: both must agree."""
+
+    @given(citation_csv_inputs())
+    @example(f"{CSV_HEADER}\na,1\u0663\n")  # int() reads the Arabic-Indic 3
+    @example(f"{CSV_HEADER}\na,1\na,2")
+    @example(f"{CSV_HEADER}\na,{MAX_FIELD_VALUE + 1}\n".encode())
+    @settings(max_examples=500)
+    def test_agrees_with_the_row_loop(self, data):
+        assert csv_outcome(parse_citation_csv, data) == csv_outcome(row_loop, data)
+
+    @pytest.mark.parametrize(
+        "text",
+        [CSV_HEADER, CSV_HEADER + "\n", "p1,5\n", "", "\n", CSV_HEADER + "\r\n"],
+    )
+    def test_agrees_on_headers(self, text):
+        for data in (text, text.encode()):
+            assert csv_outcome(parse_citation_csv, data) == csv_outcome(row_loop, data)
+
+    def test_well_formed_input_skips_the_row_loop(self, monkeypatch):
+        def fail(text):
+            raise AssertionError("row loop called")
+
+        monkeypatch.setattr("bibdex.profiles._parse_csv_rows", fail)
+        text = f"{CSV_HEADER}\np1,0\né,{MAX_FIELD_VALUE}\nx y,0000000007"
+        expected = CitationVector((0, MAX_FIELD_VALUE, 7))
+        assert parse_citation_csv(text) == expected
+        assert parse_citation_csv(text + "\n") == expected
+        assert parse_citation_csv(CSV_HEADER) == CitationVector(())
 
 
 class TestProfileJson:
