@@ -61,6 +61,17 @@ _MAX_DIGITS = len(str(MAX_FIELD_VALUE))
 _CSV_RE = re.compile(  # the header, then rows of an id and 1-10 ASCII digits
     rf"{re.escape(CSV_HEADER)}(?:\n[^,\n]+,[0-9]{{1,{_MAX_DIGITS}}})*\n?"
 )
+# serialize_profile's layout, read without json (compiled on first use, by re):
+# strings with no escape and no C0 character, ints of at most 10 digits
+_TEXT, _INT = r'[^"\\\x00-\x1f]', f"0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}"
+_PAPER = rf'\n    \{{\n      "id": "{_TEXT}*",\n      "citations": ({_INT})\n    \}}'
+_STORED_LAYOUT = (  # groups: name, snapshot_date, papers, then the aggregate's three
+    rf'\{{\n  "name": "({_TEXT}+)",\n'
+    rf'(?:  "snapshot_date": "([0-9]{{4}}-[0-9]{{2}}-[0-9]{{2}})",\n)?'
+    rf'  (?:"papers": \[(?:(\n(?s:.*))\n  )?\]'  # split at _PAPER below
+    rf'|"aggregate": \{{\n    "n_papers": ({_INT}),\n    "total_citations": ({_INT})'
+    rf'(?:,\n    "reported_h": ({_INT}))?\n  \}})\n\}}\n?'
+)
 
 
 class ProfileError(Exception):
@@ -269,10 +280,33 @@ def _parse_aggregate(raw: object) -> AggregateData:
 
 def parse_profile_json(text: str | bytes) -> AuthorProfile:
     """Parse a profile JSON document into an AuthorProfile."""
-    import json
     decoded = _decode(text, ProfileSchemaError)
+    if match := re.fullmatch(_STORED_LAYOUT, decoded):
+        name, snapshot, papers, *totals = match.groups()
+        # split at each paper, an array of nothing else is ["", n, ",", ..., n, ""]
+        parts = re.split(_PAPER, papers) if papers else [""]
+        between = parts[2:-1:2]
+        laid_out = parts[0] == parts[-1] == "" and between.count(",") == len(between)
+        found = parts[1::2] if totals[0] is None else filter(None, totals)
+        counts = tuple(map(int, found))
+        if laid_out and max(counts, default=0) <= MAX_FIELD_VALUE:  # else json names it
+            _check_name(name)
+            if snapshot is not None:
+                snapshot = _parse_snapshot_date(snapshot)
+            if totals[0] is None:
+                data = FullData(CitationVector(counts, _checked=True))
+            else:  # None is reported_h if absent; _trusted ignores a fourth value
+                data = AggregateData._trusted(*counts, None)
+            return AuthorProfile(name=name, data=data, snapshot_date=snapshot)
+    return _parse_json_text(decoded)  # any other input, well-formed or not
+
+
+def _parse_json_text(text: str) -> AuthorProfile:
+    """The json path: every profile JSON error but a decoding one comes from
+    here, or from the name and snapshot_date checks that it shares."""
+    import json
     try:
-        obj = json.loads(decoded)
+        obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too long ints, deep nesting
         raise ProfileSchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):

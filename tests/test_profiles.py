@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from datetime import date
 
 import pytest
@@ -37,6 +38,7 @@ from bibdex.profiles import (
     _check_name,
     _decode,
     _parse_csv_rows,
+    _parse_json_text,
 )
 
 profile_names = st.text(
@@ -486,6 +488,162 @@ class TestProfileJson:
         except ProfileError:
             return
         assert isinstance(result, AuthorProfile)
+
+
+STORED_MUTATIONS = (
+    "text", "blank-name", "count", "bad-date", "repeat-key", "reorder-key",
+    "unknown-key", "crlf", "ending", "bad-utf8",
+)
+_KEY_LINE = re.compile(r'( *)"(\w+)": (.*?)(,?)')
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte order mark
+STORED_PAPER = (
+    '{\n  "name": "a",\n  "snapshot_date": "2020-02-29",\n  "papers": [\n'
+    '    {\n      "id": "p1",\n      "citations": %s\n    }\n  ]\n}\n'
+)
+
+
+def mutate_stored(draw, lines, name):
+    """Apply one named mutation to the lines of a serialize_profile text."""
+    keyed = [(i, m) for i, line in enumerate(lines) if (m := _KEY_LINE.fullmatch(line))]
+    ints = [(i, m) for i, m in keyed if m[3][:1].isdigit()]
+    if name == "text":  # escapes and raw text in the name or an id
+        i, m = draw(st.sampled_from([(i, m) for i, m in keyed if m[2] in ("name", "id")]))
+        pieces = ['\\"', "\\\\", "\\u00e9", "\\ud800", "\\t", "é", " ", "\t", "\x7f",
+                  "\U0001f600", "\ud800"]
+        at = draw(st.integers(m.start(3) + 1, m.end(3) - 1))  # inside the quotes
+        lines[i] = lines[i][:at] + draw(st.sampled_from(pieces)) + lines[i][at:]
+    elif name == "blank-name":
+        blank = draw(st.sampled_from(["", " ", "　", "\\u0020"]))
+        lines[1] = f'  "name": "{blank}",'
+    elif name == "count" and ints:
+        i, m = draw(st.sampled_from(ints))
+        value = draw(st.sampled_from([
+            str(2**31 - 1), str(2**31), "9999999999", "12345678901", "07", "-1", "1.0",
+            "1e2",
+        ]))
+        lines[i] = f'{m[1]}"{m[2]}": {value}{m[4]}'
+    elif name == "bad-date" and lines[2].startswith('  "snapshot_date"'):
+        bad = draw(st.sampled_from(["2020-02-30", "2021-13-01", "0000-01-01"]))
+        lines[2] = f'  "snapshot_date": "{bad}",'
+    elif name in ("repeat-key", "unknown-key"):  # inserted before a key
+        i, m = draw(st.sampled_from(keyed))
+        value = "3" if m[3][:1].isdigit() else '"q"'
+        lines.insert(i, f'{m[1]}"{m[2] if name == "repeat-key" else "x"}": {value},')
+    elif name == "reorder-key":  # swap a key with the one-line key after it
+        pairs = [
+            i for i, m in keyed
+            if m[4] and (n := _KEY_LINE.fullmatch(lines[i + 1])) and n[3][-1] not in "[{"
+        ]
+        if pairs:
+            i = draw(st.sampled_from(pairs))
+            first, second = lines[i : i + 2]
+            if not second.endswith(","):  # the comma stays on the upper line
+                first, second = first[:-1], second + ","
+            lines[i : i + 2] = [second, first]
+
+
+@st.composite
+def stored_json_inputs(draw):
+    """serialize_profile texts of every shape, mutated, as text or bytes."""
+    values = st.integers(0, MAX_FIELD_VALUE)
+    if draw(st.booleans()):
+        data = FullData(CitationVector(tuple(draw(st.lists(values, max_size=4)))))
+    else:
+        data = AggregateData(draw(values), draw(values), draw(st.none() | values))
+    snapshot = draw(st.none() | st.dates(date(1900, 1, 1), date(2100, 12, 31)))
+    text = serialize_profile(AuthorProfile(draw(profile_names), data, snapshot))
+    lines = text.split("\n")
+    names = draw(st.lists(st.sampled_from(STORED_MUTATIONS), max_size=2))
+    for name in names:
+        mutate_stored(draw, lines, name)
+    text = "\n".join(lines)
+    if "crlf" in names:
+        text = text.replace("\n", "\r\n")
+    if "ending" in names:  # trailing space that JSON allows, and that it does not
+        text = text[:-1] + draw(st.sampled_from(["", "\n\n", " ", "\t", "\xa0", "\x0b"]))
+    if draw(st.booleans()) or "\ud800" in text:  # a lone surrogate stays text
+        return text
+    data = text.encode()
+    if "bad-utf8" in names:
+        bad = draw(st.sampled_from([b"\xff", b"\xed\xa0", BOM]))
+        data = bad + data if bad == BOM else _insert(draw, data, bad)
+    return data
+
+
+def json_outcome(parse, data):
+    try:
+        return parse(data)
+    except ProfileError as exc:
+        return type(exc), str(exc)
+
+
+def json_path(data):
+    return _parse_json_text(_decode(data, ProfileSchemaError))
+
+
+class TestJsonStoredPath:
+    """parse_profile_json reads serialize_profile's layout with regular
+    expressions and leaves every other input to the json path,
+    _parse_json_text: both must agree."""
+
+    @given(stored_json_inputs())
+    @example(STORED_PAPER % "07")
+    @example(STORED_PAPER % MAX_FIELD_VALUE)
+    @example(STORED_PAPER % (MAX_FIELD_VALUE + 1))
+    @example(STORED_PAPER.replace("p1", "p\t1") % 0)
+    @example(STORED_PAPER % 0 + "\x0b")  # whitespace to re, not to JSON
+    @example(STORED_PAPER.replace("-29", "-30") % 0)
+    @example(  # a compact paper between two laid-out ones
+        serialize_profile(AuthorProfile("a", FullData(CitationVector((1, 2)))))
+        .replace("},", '}, {"id": "q", "citations": 9},')
+    )
+    @settings(max_examples=500)
+    def test_agrees_with_the_json_path(self, data):
+        assert json_outcome(parse_profile_json, data) == json_outcome(json_path, data)
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            AuthorProfile("e", FullData(CitationVector(()))),
+            AuthorProfile("e", FullData(CitationVector(())), date(2020, 2, 29)),
+            AuthorProfile("m", FullData(CitationVector((MAX_FIELD_VALUE, 0, 7)))),
+            AuthorProfile("a b", AggregateData(0, 0), date(1, 1, 1)),
+            AuthorProfile("a", AggregateData(MAX_FIELD_VALUE, 1, reported_h=0)),
+            AuthorProfile("Cabot", AggregateData(39, 9128, 21), date(2020, 9, 30)),
+        ],
+        ids=["no-papers", "no-papers-dated", "papers", "no-reported-h", "max",
+             "dated"],
+    )
+    def test_stored_layout_skips_the_json_path(self, monkeypatch, profile):
+        def fail(text):
+            raise AssertionError("json path called")
+
+        text = serialize_profile(profile)
+        monkeypatch.setattr("bibdex.profiles._parse_json_text", fail)
+        assert parse_profile_json(text) == profile
+        assert parse_profile_json(text.encode()) == profile
+        assert parse_profile_json(text[:-1]) == profile  # no final newline
+
+    def test_empty_and_repeated_ids_load(self):
+        """JSON ids are not kept, so unlike CSV ids they may repeat or be empty."""
+        expected = AuthorProfile("X", FullData(CitationVector((1, 2, 3))))
+        papers = [{"id": i, "citations": c} for i, c in (("a", 1), ("a", 2), ("", 3))]
+        compact = json.dumps({"name": "X", "papers": papers})
+        stored = serialize_profile(expected).replace('"p1"', '"a"')
+        stored = stored.replace('"p2"', '"a"').replace('"p3"', '""')
+        for text in (compact, stored):
+            assert parse_profile_json(text) == expected == json_path(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"name":"a","name":"b","papers":[]}',
+            '{\n  "name": "a",\n  "name": "b",\n  "papers": []\n}\n',
+        ],
+        ids=["compact", "stored-layout"],
+    )
+    def test_repeated_key_keeps_its_last_value(self, text):
+        assert parse_profile_json(text) == AuthorProfile("b", FullData(CitationVector()))
 
 
 # any text: quotes, backslashes, C0 controls, astral characters, lone surrogates
