@@ -55,13 +55,13 @@ class HSource(Enum):
     REPORTED = "reported"
 
 
-def _check_count(value: int, label: str) -> int:
+def _check_count(value: int, label: str, error: type[Exception] = ValueError) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{label} must be an integer, got {value!r}")
+        raise error(f"{label} must be an integer, got {value!r}")
     if value < 0:
-        raise ValueError(f"{label} must be >= 0, got {value}")
+        raise error(f"{label} must be >= 0, got {value}")
     if value > MAX_FIELD_VALUE:
-        raise ValueError(f"{label} must be <= {MAX_FIELD_VALUE}, got {value}")
+        raise error(f"{label} must be <= {MAX_FIELD_VALUE}, got {value}")
     return value
 
 

@@ -54,24 +54,42 @@ CSV_HEADER = "paper_id,citations"
 _PROFILE_KEYS = ("name", "snapshot_date", "papers", "aggregate")
 _PAPER_KEYS = {"id", "citations"}
 _AGGREGATE_KEYS = ("reported_h", "n_papers", "total_citations")  # in check order
-_DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}\Z")
+_DATE = r"\d{4}-\d{2}-\d{2}"
 _STORE_NAME_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
 _C0_RE = re.compile(r"[\x00-\x1f]")  # a line break or tab would break a table row
 _MAX_DIGITS = len(str(MAX_FIELD_VALUE))
 _CSV_RE = re.compile(  # the header, then rows of an id and 1-10 ASCII digits
     rf"{re.escape(CSV_HEADER)}(?:\n[^,\n]+,[0-9]{{1,{_MAX_DIGITS}}})*\n?"
 )
-# serialize_profile's layout, read without json (compiled on first use, by re):
+
+
+def _pattern(template: str, *slots: str) -> str:
+    """A layout template's text as a regular expression, its slots filled."""
+    return re.escape(template).replace("%d", "%s") % slots
+
+
+# The store's layout, json.dumps(indent=2) of a profile. serialize_profile fills
+# these templates, with "" for a piece left out; parse_profile_json reads the
+# layout without json through patterns built from them (compiled by re on use).
+_DOCUMENT = '{\n  "name": %s,\n%s  %s\n}\n'  # name, _SNAPSHOT, _PAPERS or _AGGREGATE
+_SNAPSHOT = '  "snapshot_date": "%s",\n'
+_PAPERS = '"papers": [%s]'  # _PAPER_LIST, or "" without papers
+_PAPER_LIST = "%s\n  "  # each _PAPER, joined by ","
+_PAPER = '\n    {\n      "id": "p%d",\n      "citations": %d\n    }'
+_AGGREGATE = '"aggregate": {\n    "n_papers": %d,\n    "total_citations": %d%s\n  }'
+_REPORTED_H = ',\n    "reported_h": %d'
 # strings with no escape and no C0 character, ints of at most 10 digits
-_TEXT, _INT = r'[^"\\\x00-\x1f]', f"0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}"
-_PAPER = rf'\n    \{{\n      "id": "{_TEXT}*",\n      "citations": ({_INT})\n    \}}'
-_STORED_LAYOUT = (  # groups: name, snapshot_date, papers, then the aggregate's three
-    rf'\{{\n  "name": "({_TEXT}+)",\n'
-    rf'(?:  "snapshot_date": "([0-9]{{4}}-[0-9]{{2}}-[0-9]{{2}})",\n)?'
-    rf'  (?:"papers": \[(?:(\n(?s:.*))\n  )?\]'  # split at _PAPER below
-    rf'|"aggregate": \{{\n    "n_papers": ({_INT}),\n    "total_citations": ({_INT})'
-    rf'(?:,\n    "reported_h": ({_INT}))?\n  \}})\n\}}\n?'
-)
+_TEXT, _INT = r'[^"\\\x00-\x1f]', f"(0|[1-9][0-9]{{0,{_MAX_DIGITS - 1}}})"
+_PAPER_RE = _pattern(_PAPER.replace("p%d", "%s"), f"{_TEXT}*", _INT)  # any id
+_STORED_RE = _pattern(  # groups: name, snapshot_date, papers, the aggregate's three
+    _DOCUMENT,
+    f'"({_TEXT}+)"',
+    "(?:%s)?" % _pattern(_SNAPSHOT, f"({_DATE})"),
+    "(?:%s|%s)" % (
+        _pattern(_PAPERS, "(?:%s)?" % _pattern(_PAPER_LIST, r"(\n(?s:.*))")),
+        _pattern(_AGGREGATE, _INT, _INT, "(?:%s)?" % _pattern(_REPORTED_H, _INT)),
+    ),
+) + "?"  # the final newline may be missing
 
 
 class ProfileError(Exception):
@@ -221,13 +239,6 @@ def _check_name(name: str) -> str:
     return name
 
 
-def _require_int(value: object, label: str) -> int:
-    try:
-        return _check_count(value, label)
-    except ValueError as exc:
-        raise ProfileValueError(str(exc)) from None
-
-
 def _check_keys(raw: dict, allowed: tuple[str, ...], where: str) -> None:
     unknown = raw.keys() - allowed
     if unknown:
@@ -235,7 +246,7 @@ def _check_keys(raw: dict, allowed: tuple[str, ...], where: str) -> None:
 
 
 def _parse_snapshot_date(raw: object) -> date:
-    if not isinstance(raw, str) or not _DATE_RE.match(raw):
+    if not isinstance(raw, str) or not re.fullmatch(_DATE, raw):
         raise ProfileValueError(
             f"snapshot_date must be a 'YYYY-MM-DD' string, got {raw!r}"
         )
@@ -259,7 +270,7 @@ def _parse_papers(raw: object) -> FullData:
         if not isinstance(entry["id"], str):
             raise ProfileValueError(f"papers[{i}].id must be a string")
         if not (type(c := entry["citations"]) is int and 0 <= c <= MAX_FIELD_VALUE):
-            _require_int(c, f"papers[{i}].citations")  # raises, naming the paper
+            _check_count(c, f"papers[{i}].citations", ProfileValueError)  # raises
         counts.append(c)
     return FullData(CitationVector(tuple(counts), _checked=True))
 
@@ -274,29 +285,29 @@ def _parse_aggregate(raw: object) -> AggregateData:
         raise ProfileSchemaError(f"aggregate requires keys: {keys}")
     for key in _AGGREGATE_KEYS:  # so the record below need not check them again
         if key in raw:
-            _require_int(raw[key], f"aggregate.{key}")
+            _check_count(raw[key], f"aggregate.{key}", ProfileValueError)
     return AggregateData._trusted(*map(raw.get, AggregateData.__slots__))
 
 
 def parse_profile_json(text: str | bytes) -> AuthorProfile:
     """Parse a profile JSON document into an AuthorProfile."""
     decoded = _decode(text, ProfileSchemaError)
-    if match := re.fullmatch(_STORED_LAYOUT, decoded):
-        name, snapshot, papers, *totals = match.groups()
+    if match := re.fullmatch(_STORED_RE, decoded):
+        name, snapshot, papers, n_papers, total, h = match.groups()
         # split at each paper, an array of nothing else is ["", n, ",", ..., n, ""]
-        parts = re.split(_PAPER, papers) if papers else [""]
+        parts = re.split(_PAPER_RE, papers) if papers else [""]
         between = parts[2:-1:2]
         laid_out = parts[0] == parts[-1] == "" and between.count(",") == len(between)
-        found = parts[1::2] if totals[0] is None else filter(None, totals)
+        found = parts[1::2] if n_papers is None else filter(None, (n_papers, total, h))
         counts = tuple(map(int, found))
         if laid_out and max(counts, default=0) <= MAX_FIELD_VALUE:  # else json names it
             _check_name(name)
             if snapshot is not None:
                 snapshot = _parse_snapshot_date(snapshot)
-            if totals[0] is None:
+            if n_papers is None:
                 data = FullData(CitationVector(counts, _checked=True))
-            else:  # None is reported_h if absent; _trusted ignores a fourth value
-                data = AggregateData._trusted(*counts, None)
+            else:  # reported_h is None if absent
+                data = AggregateData._trusted(int(n_papers), int(total), h and int(h))
             return AuthorProfile(name=name, data=data, snapshot_date=snapshot)
     return _parse_json_text(decoded)  # any other input, well-formed or not
 
@@ -330,37 +341,21 @@ def _parse_json_text(text: str) -> AuthorProfile:
     return AuthorProfile(name=name, data=data, snapshot_date=snapshot)
 
 
-def _indented(items: list[str], level: int, brackets: str = "[]") -> str:
-    """JSON texts laid out as ``json.dumps(indent=2)`` lays out a container
-    nested ``level`` deep; with ``"{}"`` each item is ``'"key": value'``."""
-    if not items:
-        return brackets
-    pad = "\n" + "  " * (level + 1)
-    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * level}{brackets[1]}"
-
-
 def serialize_profile(profile: AuthorProfile) -> str:
     """Inverse of parse_profile_json. Paper ids are synthesized as p1..pN."""
     import json
     if not profile.name:
         raise ProfileValueError("cannot serialize a profile with an empty name")
-    fields = [f'"name": {json.dumps(profile.name)}']
-    if profile.snapshot_date is not None:
-        fields.append(f'"snapshot_date": "{profile.snapshot_date.isoformat()}"')
+    snapshot = profile.snapshot_date
+    snapshot = "" if snapshot is None else _SNAPSHOT % snapshot.isoformat()
     data = profile.data
     if isinstance(data, FullData):
-        paper = _indented(['"id": "p%d"', '"citations": %d'], 2, "{}")
-        papers = [paper % pair for pair in enumerate(data.vector, start=1)]
-        fields.append(f'"papers": {_indented(papers, 1)}')
+        papers = ",".join(map(_PAPER.__mod__, enumerate(data.vector, start=1)))
+        body = _PAPERS % (papers and _PAPER_LIST % papers)
     else:
-        aggregate = [
-            f'"n_papers": {data.n_papers:d}',
-            f'"total_citations": {data.total_citations:d}',
-        ]
-        if data.reported_h is not None:
-            aggregate.append(f'"reported_h": {data.reported_h:d}')
-        fields.append(f'"aggregate": {_indented(aggregate, 1, "{}")}')
-    return _indented(fields, 0, "{}") + "\n"
+        h = "" if data.reported_h is None else _REPORTED_H % data.reported_h
+        body = _AGGREGATE % (data.n_papers, data.total_citations, h)
+    return _DOCUMENT % (json.dumps(profile.name), snapshot, body)
 
 
 def load_builtin_cohort(cohort: Cohort | str) -> list[AuthorProfile]:

@@ -12,7 +12,6 @@ from functools import cache
 from operator import attrgetter
 
 from .metrics import AuthorProfile, IndexReport, _Record, _set, full_report
-from .profiles import _indented
 
 __all__ = [
     "COLUMNS",
@@ -174,9 +173,13 @@ def _json_divide():  # int division to JSON_SIG_DIGITS digits, which is exact
     return decimal.Context(prec=JSON_SIG_DIGITS).divide
 
 
-def fraction_str(value: "Fraction") -> str:
-    """Decimal string of an exact fraction at JSON_SIG_DIGITS significant digits."""
-    return str(_json_divide()(value.numerator, value.denominator))
+def _indented(items: list[str], level: int, brackets: str = "[]") -> str:
+    """JSON texts laid out as ``json.dumps(indent=2)`` lays out a container
+    nested ``level`` deep; with ``"{}"`` each item is ``'"key": value'``."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * level}{brackets[1]}"
 
 
 def json_rows(table: ComparisonTable, level: int = 0) -> list[str]:

@@ -593,6 +593,8 @@ class TestJsonStoredPath:
     @example(STORED_PAPER.replace("p1", "p\t1") % 0)
     @example(STORED_PAPER % 0 + "\x0b")  # whitespace to re, not to JSON
     @example(STORED_PAPER.replace("-29", "-30") % 0)
+    @example(STORED_PAPER.replace("2020-02-29", "２０２０-０９-３０") % 0)  # \d, not ASCII
+    @example(STORED_PAPER.replace("2020-02-29", "٢٠٢٠-09-30") % 0)
     @example(  # a compact paper between two laid-out ones
         serialize_profile(AuthorProfile("a", FullData(CitationVector((1, 2)))))
         .replace("},", '}, {"id": "q", "citations": 9},')

@@ -1,6 +1,7 @@
 """Tests for table building and rendering."""
 
 import csv
+import decimal
 import io
 import json
 import math
@@ -30,7 +31,7 @@ from bibdex import (
     render_csv,
     render_markdown,
 )
-from bibdex.report import fraction_str, json_rows, render_json
+from bibdex.report import json_rows, render_json
 
 GERMANO = AuthorProfile("Germano", AggregateData(37, 6235, reported_h=9))
 
@@ -361,13 +362,16 @@ JSON_FIELDS = {
 }
 
 
+ORACLE_DIVIDE = decimal.Context(prec=12).divide  # 12 significant digits
+
+
 def oracle_row(row, columns):
     """One row as a dict, each value as the JSON output must carry it."""
     out = {}
     for field in (f for c in columns for f in JSON_FIELDS[c]):
         value = row.name if field == "name" else getattr(row.report, field)
         if isinstance(value, Fraction):
-            value = fraction_str(value)
+            value = str(ORACLE_DIVIDE(value.numerator, value.denominator))
         elif isinstance(value, HSource):
             value = value.value
         out[field] = value
@@ -406,9 +410,12 @@ tables = st.builds(
 class TestRenderJson:
     def test_fraction_str_scientific_form(self):
         # aggregates with far more papers than citations reach this form
-        assert fraction_str(Fraction(1, 2**31 - 1)) == "4.65661287525E-10"
-        assert fraction_str(Fraction(1, 10**6)) == "0.000001"
-        assert fraction_str(Fraction(1, 10**7)) == "1E-7"
+        row = '{\n  "citations_per_paper": "%s",\n  "citations_per_paper_display": 0\n}'
+        for n_papers, text in (
+            (2**31 - 1, "4.65661287525E-10"), (10**6, "0.000001"), (10**7, "1E-7")
+        ):
+            profile = AuthorProfile("a", AggregateData(n_papers, 1))
+            assert json_rows(compare([profile], ["citations_per_paper"])) == [row % text]
 
     @given(tables)
     @settings(max_examples=300)
