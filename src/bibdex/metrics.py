@@ -12,6 +12,7 @@ safe to share across threads.
 
 from datetime import date
 from enum import Enum
+from operator import itemgetter
 
 __all__ = [
     "MAX_FIELD_VALUE",
@@ -67,7 +68,7 @@ def _check_count(value: int, label: str, error: type[Exception] = ValueError) ->
 
 class _Record:
     """Immutable record compared, hashed and printed by its public fields,
-    ``_fields``, which each subclass's ``__init__`` sets through ``_set``."""
+    ``_fields``, which each subclass's constructor sets."""
 
     __slots__ = ()
 
@@ -88,7 +89,11 @@ class _Record:
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._values() == other._values()
-        return NotImplemented
+        return False if isinstance(other, tuple) else NotImplemented  # nor by tuple items
+
+    def __ne__(self, other):  # ahead of a base's own, such as tuple's
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def __hash__(self):
         return hash(self._values())
@@ -97,7 +102,7 @@ class _Record:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
-    def __reduce__(self):  # copy and pickle rebuild through __init__
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
         return self.__class__, self._values()
 
     def __setattr__(self, name, value):
@@ -109,6 +114,8 @@ class _Record:
 
 _new = object.__new__
 _set = object.__setattr__
+_tuple = tuple.__new__
+_COMPUTED, _REPORTED = HSource  # a member read through its class is slow
 
 
 def _fraction(*args) -> "Fraction":  # imported on first use: tables never need it
@@ -175,36 +182,35 @@ class AuthorProfile(_Record):
         _set(self, "snapshot_date", snapshot_date)
 
 
-class IndexReport(_Record):
+class IndexReport(_Record, tuple):
     """Every statistic computed for one author.
 
-    ``citations_per_paper`` and ``hm_exact`` are exact fractions, kept as
-    (numerator, denominator) int pairs, not always reduced, and built on
+    ``citations_per_paper`` and ``hm_exact`` are exact fractions, stored as
+    numerator and denominator ints, not always reduced, and built on
     access; ``citations_per_paper_display`` is the truncated form and
     ``hm_display`` the half-away-from-zero rounded form. ``h`` is None
     when it cannot be known (aggregate data without a reported value).
+    The record is one tuple of ten values, each fraction taking two, so
+    ``len``, iteration, indexing, ``+`` and ``<`` see that layout.
     """
 
-    __slots__ = ("n_papers", "total_citations", "_rate",
-                 "citations_per_paper_display", "h", "h_source", "_hm", "hm_display")
+    __slots__ = ()
     _fields = ("n_papers", "total_citations", "citations_per_paper",
                "citations_per_paper_display", "h", "h_source", "hm_exact", "hm_display")
 
-    def __init__(self, n_papers: int, total_citations: int,
-                 citations_per_paper: "Fraction", citations_per_paper_display: int,
-                 h: int | None, h_source: HSource | None,
-                 hm_exact: "Fraction", hm_display: int):
+    def __new__(cls, n_papers: int, total_citations: int,
+                citations_per_paper: "Fraction", citations_per_paper_display: int,
+                h: int | None, h_source: HSource | None,
+                hm_exact: "Fraction", hm_display: int):
         if (h is None) != (h_source is None):
             raise ValueError("h and h_source must be both present or both absent")
-        _set(self, "n_papers", n_papers)
-        _set(self, "total_citations", total_citations)
-        _set(self, "_rate", citations_per_paper.as_integer_ratio())
-        _set(self, "citations_per_paper_display", citations_per_paper_display)
-        _set(self, "h", h)
-        _set(self, "h_source", h_source)
-        _set(self, "_hm", hm_exact.as_integer_ratio())
-        _set(self, "hm_display", hm_display)
+        rate, hm = citations_per_paper.as_integer_ratio(), hm_exact.as_integer_ratio()
+        return _tuple(cls, (n_papers, total_citations, *rate,
+                            citations_per_paper_display, h, h_source, *hm, hm_display))
 
+    n_papers, total_citations, citations_per_paper_display, h, h_source, hm_display = (
+        property(itemgetter(i)) for i in (0, 1, 4, 5, 6, 9))
+    _rate, _hm = property(itemgetter(2, 3)), property(itemgetter(7, 8))
     citations_per_paper = property(lambda self: _fraction(*self._rate))
     hm_exact = property(lambda self: _fraction(*self._hm))
 
@@ -272,10 +278,6 @@ def hm_index(
     return p * c / (p + c)
 
 
-def _hm_terms(n: int, t: int) -> tuple[int, int]:
-    return n * t, n * n + t  # HM = n*t / (n^2 + t), for n >= 1
-
-
 def _round_half_up(num: int, den: int) -> int:
     """floor(num/den + 1/2) for num >= 0 and den >= 1: the HM display rule."""
     return (2 * num + den) // (2 * den)
@@ -291,7 +293,7 @@ def hm_index_from_totals(n_papers: int, total_citations: int) -> "Fraction":
     _check_count(total_citations, "total_citations")
     if n_papers == 0:
         return _fraction(0)
-    return _fraction(*_hm_terms(n_papers, total_citations))
+    return _fraction(n_papers * total_citations, n_papers**2 + total_citations)
 
 
 def _display_input(value: "int | float | Fraction", rule: str) -> "Fraction":
@@ -352,17 +354,17 @@ def full_report(profile: AuthorProfile) -> IndexReport:
             raise InconsistentAggregateError(
                 f"profile {profile.name!r}: zero papers cannot carry {total} citations"
             )
-        source = None if h is None else HSource.REPORTED
+        source = None if h is None else _REPORTED
         if n == 0:
-            h, source = 0, HSource.COMPUTED
+            h, source = 0, _COMPUTED
     elif isinstance(data, FullData):
         n, total = len(data.vector), total_citations(data.vector)
-        h, source = h_index(data.vector), HSource.COMPUTED
+        h, source = h_index(data.vector), _COMPUTED
     else:
         raise TypeError(f"unsupported profile data: {type(data).__name__}")
 
     rate_n = n or 1  # an empty career has no citations either: all values 0
-    hm = _hm_terms(rate_n, total)
-    return IndexReport._trusted(  # h and source come together above
-        n, total, (total, rate_n), total // rate_n, h, source, hm, _round_half_up(*hm)
-    )
+    num, den = rate_n * total, rate_n * rate_n + total  # HM = n*t / (n^2 + t)
+    return _tuple(IndexReport, (  # h and source come together above
+        n, total, total, rate_n, total // rate_n, h, source, num, den,
+        (2 * num + den) // (2 * den)))  # the HM display, as _round_half_up

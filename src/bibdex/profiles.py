@@ -347,6 +347,8 @@ def serialize_profile(profile: AuthorProfile) -> str:
     if not profile.name:
         raise ProfileValueError("cannot serialize a profile with an empty name")
     snapshot = profile.snapshot_date
+    if snapshot is not None and type(snapshot) is not date:  # load reads a date only
+        raise ProfileValueError(f"snapshot_date must be a date, got {snapshot!r}")
     snapshot = "" if snapshot is None else _SNAPSHOT % snapshot.isoformat()
     data = profile.data
     if isinstance(data, FullData):

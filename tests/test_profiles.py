@@ -3,7 +3,7 @@
 import json
 import os
 import re
-from datetime import date
+from datetime import date, datetime
 
 import pytest
 from hypothesis import example, given, settings
@@ -734,6 +734,34 @@ class TestSerializeProfile:
     def test_empty_name_rejected(self):
         with pytest.raises(ProfileValueError):
             serialize_profile(AuthorProfile("", AggregateData(0, 0)))
+
+    @pytest.mark.parametrize(
+        "snapshot",
+        [datetime(2020, 1, 1, 5), datetime(2020, 1, 1), "2020-01-01", 20200101],
+        ids=["datetime", "midnight", "str", "int"],
+    )
+    def test_snapshot_that_is_not_a_date_rejected(self, snapshot, tmp_path):
+        profile = AuthorProfile("a", AggregateData(1, 1), snapshot)
+        with pytest.raises(ProfileValueError) as info:
+            serialize_profile(profile)
+        assert str(info.value) == f"snapshot_date must be a date, got {snapshot!r}"
+        with pytest.raises(ProfileValueError):
+            ProfileStore(tmp_path).save(profile)
+        assert os.listdir(tmp_path) == []
+
+    @given(
+        profiles(),
+        st.none() | st.dates() | st.datetimes() | st.text(max_size=12) | st.integers(),
+    )
+    @example(AuthorProfile("a", AggregateData(1, 1)), datetime(2020, 1, 1, 5))
+    def test_every_accepted_profile_parses_back(self, profile, snapshot):
+        profile = AuthorProfile(profile.name, profile.data, snapshot)
+        try:
+            text = serialize_profile(profile)
+        except ProfileValueError:
+            assert type(snapshot) is not date and snapshot is not None
+        else:
+            assert parse_profile_json(text) == profile
 
     def test_reported_h_omitted_when_absent(self):
         text = serialize_profile(AuthorProfile("A", AggregateData(3, 9)))

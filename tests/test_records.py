@@ -22,7 +22,14 @@ from bibdex import (
     TableRow,
     ValidationResult,
     Violation,
+    citations_per_paper,
     full_report,
+    h_index,
+    hm_index,
+    hm_index_from_totals,
+    round_display,
+    total_citations,
+    truncate_display,
 )
 
 PIOMELLI = full_report(AuthorProfile("Piomelli", AggregateData(150, 11467, 39)))
@@ -247,3 +254,59 @@ def test_full_report_survives_pickle_and_deepcopy(profile):
     report = full_report(profile)
     for other in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
         assert other == report and repr(other) == repr(report)
+
+
+# IndexReport's stored layout: each fraction is two ints, (num, den)
+PIOMELLI_STORED = (150, 11467, 11467, 150, 76, 39, HSource.REPORTED, 1720050, 33967, 51)
+
+
+def test_report_equals_no_tuple_and_no_subclass():
+    sub = type("Sub", (IndexReport,), {"__slots__": ()})
+    others = [PIOMELLI_STORED, sub(*(getattr(PIOMELLI, f) for f in REPORT_FIELDS))]
+    for other in others:
+        assert not PIOMELLI == other and not other == PIOMELLI
+        assert PIOMELLI != other and other != PIOMELLI
+    assert not PIOMELLI != full_report(AuthorProfile("P", AggregateData(150, 11467, 39)))
+
+
+def test_report_tuple_protocol_is_its_stored_layout():
+    # the tuple protocol is kept as it is, not closed: it sees the stored
+    # layout, so len counts ten values and < orders unreduced fractions apart
+    assert len(PIOMELLI) == 10
+    assert tuple(PIOMELLI) == PIOMELLI_STORED and PIOMELLI[5] == 39
+    assert PIOMELLI + () == PIOMELLI_STORED and type(PIOMELLI + ()) is tuple
+    unreduced = full_report(AuthorProfile("u", AggregateData(6, 12)))
+    reduced = IndexReport(*(getattr(unreduced, f) for f in REPORT_FIELDS))
+    assert unreduced == reduced and hash(unreduced) == hash(reduced)
+    assert tuple(unreduced) == (6, 12, 12, 6, 2, None, None, 72, 48, 2)
+    assert tuple(reduced) == (6, 12, 2, 1, 2, None, None, 3, 2, 2)
+    assert reduced < unreduced
+
+
+@given(profiles)
+@example(AuthorProfile("empty", AggregateData(0, 0)))
+@example(AuthorProfile("empty-h", AggregateData(0, 0, 5)))
+@example(AuthorProfile("no-papers", FullData(CitationVector())))
+@example(AuthorProfile("half-up", AggregateData(1, 1)))  # HM 1/2 rounds to 1
+@example(AuthorProfile("past-the-cap", FullData(CitationVector((1, M)))))
+def test_full_report_is_the_public_record_of_its_profile(profile):
+    data = profile.data
+    if isinstance(data, FullData):
+        n, t = len(data.vector), total_citations(data.vector)
+        h, source = h_index(data.vector), HSource.COMPUTED
+    elif data.n_papers == 0:
+        n, t, h, source = 0, 0, 0, HSource.COMPUTED
+    else:
+        n, t, h = data.n_papers, data.total_citations, data.reported_h
+        source = None if h is None else HSource.REPORTED
+    rate = citations_per_paper(n, t) if n else Fraction(0)
+    # the from-totals form takes counts only; a full vector may sum past the cap
+    hm = hm_index_from_totals(n, t) if t <= M else hm_index(n, rate)
+    public = IndexReport(n, t, rate, truncate_display(rate), h, source, hm, round_display(hm))
+    report = full_report(profile)
+    assert report == public and hash(report) == hash(public)
+    assert repr(report) == repr(public)
+    for record in (report, public):
+        again = pickle.loads(pickle.dumps(record))
+        assert type(again) is IndexReport and again == report
+        assert repr(again) == repr(report) and hash(again) == hash(report)
